@@ -203,7 +203,23 @@ class PathParser {
     }
   }
 
+  /// Counts the open ParseOrExpr frames for the lifetime of one.
+  struct DepthGuard {
+    explicit DepthGuard(int* depth) : depth(depth) { ++*depth; }
+    ~DepthGuard() { --*depth; }
+    int* depth;
+  };
+
   Result<std::unique_ptr<Expr>> ParseOrExpr() {
+    // Every nesting construct — a predicate, a parenthesis, a function
+    // argument, a path inside one of those — recurses through here, so this
+    // one counter bounds the parser's stack. The input can never parse, so
+    // the error is a parse error, not a retryable overload.
+    if (depth_ >= kMaxPathDepth) {
+      return Error("nesting exceeds max_depth=" +
+                   std::to_string(kMaxPathDepth));
+    }
+    DepthGuard guard(&depth_);
     VPBN_ASSIGN_OR_RETURN(std::unique_ptr<Expr> lhs, ParseAndExpr());
     for (;;) {
       SkipWhitespace();
@@ -376,6 +392,7 @@ class PathParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // open ParseOrExpr frames
 };
 
 }  // namespace

@@ -10,6 +10,11 @@
 
 namespace vpbn::query {
 
+/// Deepest predicate / parenthesis / function-argument nesting ParsePath
+/// accepts (the XML parser's default max_depth). Deeper input fails with a
+/// ParseError instead of exhausting the stack.
+inline constexpr int kMaxPathDepth = 512;
+
 /// \brief Parse an absolute path such as
 ///   //book/title
 ///   /data/book[author/name = "C"]/title

@@ -272,7 +272,7 @@ std::string Server::HandleQuery(const Request& req) {
     auto fresh = std::make_shared<ResultCache::Entry>();
     fresh->values = engine->StringValues(result);
     fresh->result_nodes = result.size();
-    fresh->plan = query::PlanKindToString(prepared.value().plan());
+    fresh->plan = result.stats().plan;  // the plan that actually ran
     fresh->wall_ms = result.stats().wall_ms;
     if (want_stats) stats_json = result.stats().ToJson();
     result_cache_.Put(key, fresh);

@@ -25,7 +25,6 @@ StoredDocument::StoredDocument(StoredDocument&& other) noexcept
       node_types_(std::move(other.node_types_)),
       node_rows_(std::move(other.node_rows_)),
       value_index_(std::move(other.value_index_)),
-      partitions_(std::move(other.partitions_)),
       ranges_(std::move(other.ranges_)),
       packed_type_index_(std::move(other.packed_type_index_)),
       type_node_index_(std::move(other.type_node_index_)),
@@ -50,7 +49,6 @@ StoredDocument& StoredDocument::operator=(StoredDocument&& other) noexcept {
     node_types_ = std::move(other.node_types_);
     node_rows_ = std::move(other.node_rows_);
     value_index_ = std::move(other.value_index_);
-    partitions_ = std::move(other.partitions_);
     ranges_ = std::move(other.ranges_);
     packed_type_index_ = std::move(other.packed_type_index_);
     type_node_index_ = std::move(other.type_node_index_);
@@ -118,17 +116,10 @@ StoredDocument StoredDocument::Build(const xml::Document& doc,
     xml::SerializeForestWithRanges(doc, nullptr, &out.text_, &out.ranges_);
   }
 
-  // Phase 2 — row assignment, chunk-parallel (storage/partitions.h): the
-  // document splits into contiguous document-order chunks, per-chunk type
-  // counts prefix-sum into the rows the sequential pass would assign, and
-  // the fill writes disjoint slices. The prefix sums *are* the partition
-  // row-offset matrix, so the subtree-partition metadata the partition-wise
-  // evaluator needs comes out of this phase for free.
+  // Phase 2 — row assignment, chunk-parallel (BuildTypeRows).
   out.packed_type_index_.assign(out.guide_.num_types(), {});
   out.type_cache_.resize(out.guide_.num_types());
-  out.partitions_ =
-      BuildTypeRows(doc, out.node_types_, out.guide_.num_types(), pool,
-                    &out.node_rows_, &out.type_node_index_);
+  out.BuildTypeRows(pool);
 
   // Phase 3 — pack the per-type PBN arenas. The instance lists are already
   // document-ordered, so each arena comes out sorted — what the memcmp
@@ -194,6 +185,60 @@ StoredDocument StoredDocument::Build(const xml::Document& doc,
           std::chrono::steady_clock::now() - start)
           .count();
   return out;
+}
+
+void StoredDocument::BuildTypeRows(common::ThreadPool* pool) {
+  // The document splits into contiguous document-order chunks whose count
+  // depends only on the node count. Per-chunk type counts prefix-sum into
+  // exactly the rows the sequential document-order pass would assign, and
+  // the fill writes disjoint, prefix-sum-addressed slices — so the result
+  // is byte-identical for any thread count.
+  constexpr size_t kChunkNodes = 1024;
+  constexpr size_t kMaxChunks = 256;
+  const std::vector<xml::NodeId> order = doc_->DocumentOrder();
+  const size_t n = order.size();
+  const size_t num_types = guide_.num_types();
+  node_rows_.assign(doc_->num_nodes(), 0);
+  type_node_index_.assign(num_types, {});
+  if (n == 0) return;
+  const size_t chunks = std::min((n + kChunkNodes - 1) / kChunkNodes,
+                                 kMaxChunks);
+  std::vector<size_t> cuts(chunks + 1);
+  for (size_t b = 0; b <= chunks; ++b) cuts[b] = n * b / chunks;
+
+  std::vector<std::vector<uint32_t>> counts(
+      chunks, std::vector<uint32_t>(num_types, 0));
+  common::ParallelFor(pool, chunks, 1, [&](size_t lo, size_t hi) {
+    for (size_t b = lo; b < hi; ++b) {
+      for (size_t pos = cuts[b]; pos < cuts[b + 1]; ++pos) {
+        ++counts[b][node_types_[order[pos]]];
+      }
+    }
+  });
+
+  // Turn counts[b][t] into chunk b's first row of type t.
+  for (size_t t = 0; t < num_types; ++t) {
+    uint32_t row = 0;
+    for (size_t b = 0; b < chunks; ++b) {
+      const uint32_t c = counts[b][t];
+      counts[b][t] = row;
+      row += c;
+    }
+    type_node_index_[t].resize(row);
+  }
+
+  common::ParallelFor(pool, chunks, 1, [&](size_t lo, size_t hi) {
+    for (size_t b = lo; b < hi; ++b) {
+      std::vector<uint32_t>& cursor = counts[b];
+      for (size_t pos = cuts[b]; pos < cuts[b + 1]; ++pos) {
+        const xml::NodeId id = order[pos];
+        const dg::TypeId t = node_types_[id];
+        const uint32_t row = cursor[t]++;
+        node_rows_[id] = row;
+        type_node_index_[t][row] = id;
+      }
+    }
+  });
 }
 
 StoredDocument StoredDocument::Build(xml::Document&& doc,

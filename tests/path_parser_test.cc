@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace vpbn::query {
 namespace {
 
@@ -139,6 +141,50 @@ TEST(PathParserTest, Errors) {
   EXPECT_FALSE(ParsePath("/a[x=\"unterminated]").ok());
   EXPECT_FALSE(ParsePath("/a/sideways::b").ok());
   EXPECT_FALSE(ParsePath("/a trailing").ok());
+}
+
+/// "//a" followed by \p depth predicates nested inside one another.
+std::string NestedPredicates(int depth) {
+  std::string text = "//a";
+  for (int i = 0; i < depth; ++i) text += "[a";
+  text.append(static_cast<size_t>(depth), ']');
+  return text;
+}
+
+TEST(PathParserTest, DeepNestingFailsWithParseError) {
+  // 20 000 nested predicates used to overflow the stack. Now the parser
+  // stops at kMaxPathDepth with a parse error.
+  auto r = ParsePath(NestedPredicates(20000));
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError()) << r.status();
+  EXPECT_NE(r.status().message().find("max_depth"), std::string::npos)
+      << r.status();
+  // Parentheses and function arguments nest through the same bound.
+  for (const char* open : {"(", "not("}) {
+    std::string text = "//a[";
+    for (int i = 0; i < 20000; ++i) text += open;
+    text += "b";
+    text.append(20000, ')');
+    text += "]";
+    auto p = ParsePath(text);
+    ASSERT_FALSE(p.ok()) << open;
+    EXPECT_TRUE(p.status().IsParseError()) << open << ": " << p.status();
+  }
+  // The bound is exact: one level past it fails.
+  EXPECT_TRUE(ParsePath(NestedPredicates(kMaxPathDepth)).ok());
+  EXPECT_TRUE(
+      ParsePath(NestedPredicates(kMaxPathDepth + 1)).status().IsParseError());
+}
+
+TEST(PathParserTest, DepthFiveHundredStillParses) {
+  Path p = MustParse(NestedPredicates(500));
+  int depth = 0;
+  for (const Step* step = &p.steps[0]; !step->predicates.empty();
+       step = &step->predicates[0]->path.steps[0]) {
+    ASSERT_EQ(step->predicates[0]->kind, Expr::Kind::kPath);
+    ++depth;
+  }
+  EXPECT_EQ(depth, 500);
 }
 
 TEST(PathParserTest, PositionalPredicateParses) {

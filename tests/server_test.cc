@@ -139,6 +139,60 @@ TEST(ServerTest, ErrorTaxonomyOnTheWire) {
   EXPECT_EQ(f.server->metrics().ok.load(), 0u);
 }
 
+TEST(ServerTest, DeeplyNestedQueryIsAParseErrorAndTheServerKeepsAnswering) {
+  ServerFixture f;
+  // One 60 KB QUERY line with 20 000 nested predicates used to overflow the
+  // path parser's stack and kill the server. It can never succeed, so it
+  // gets the parse code, not the retryable overload code.
+  std::string line = "QUERY books //book";
+  for (int i = 0; i < 20000; ++i) line += "[a";
+  line.append(20000, ']');
+  std::string r = f.server->HandleLine(line);
+  EXPECT_EQ(r.rfind("{\"code\":1", 0), 0u) << r.substr(0, 200);
+  EXPECT_NE(r.find("max_depth"), std::string::npos) << r.substr(0, 200);
+
+  std::string next = f.server->HandleLine("QUERY books //book/title");
+  EXPECT_EQ(next.rfind("{\"code\":0", 0), 0u) << next;
+  EXPECT_EQ(JsonInt(next, "count"), 2);
+}
+
+TEST(ServerTest, ResponseReportsThePlanThatRan) {
+  // 40 <a> records of 50 <b> each: for //a[k = "3"]/b the fragment rule
+  // picks the bulk plan, but the cost model prefers the indexed plan (one
+  // selective context, many <b> rows to skip), and the default run uses it.
+  std::string xml = "<r>";
+  for (int i = 0; i < 40; ++i) {
+    xml += "<a><k>" + std::to_string(i) + "</k>";
+    for (int j = 0; j < 50; ++j) xml += "<b>" + std::to_string(j) + "</b>";
+    xml += "</a>";
+  }
+  xml += "</r>";
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddDocumentXml("recs", xml).ok());
+  // No result cache: a hit would report the plan of the run that filled
+  // the entry, and the two runs below differ only in a non-key option.
+  ServerOptions options;
+  options.result_cache_capacity = 0;
+  Server server(&catalog, options);
+  const std::string query = "//a[k = \"3\"]/b";
+
+  std::string costed = server.HandleLine("QUERY recs --stats " + query);
+  EXPECT_EQ(JsonInt(costed, "count"), 50);
+  EXPECT_EQ(costed.find("\"plan\":\"indexed\""),
+            costed.find("\"plan\":"))
+      << costed;
+  // The response field and the executed plan in the stats agree.
+  const size_t stats_pos = costed.find("\"stats\":{");
+  ASSERT_NE(stats_pos, std::string::npos) << costed;
+  EXPECT_NE(costed.find("\"plan\":\"indexed\"", stats_pos),
+            std::string::npos)
+      << costed;
+
+  std::string rule = server.HandleLine("QUERY recs --no-cost-model " + query);
+  EXPECT_EQ(JsonInt(rule, "count"), 50);
+  EXPECT_NE(rule.find("\"plan\":\"bulk\""), std::string::npos) << rule;
+}
+
 TEST(ServerTest, RateLimitShedsWithOverloadCode) {
   ServerOptions opts;
   opts.rate_limit = 0.001;  // ~one token per 1000s: only the burst admits

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "tests/test_util.h"
 #include "vpbn/virtual_document.h"
 #include "workload/auctions.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace vpbn::storage {
@@ -521,50 +525,82 @@ TEST(SnapshotV2Test, V1FormatTruncationAndMutationStillSafe) {
   }
 }
 
-TEST(SnapshotV2Test, PartitionSectionRoundTrips) {
-  // A document large enough to have several partition chunks writes a PARTS
-  // section; loading recomputes the partitions and validates them against
-  // the stored bytes, so the loaded metadata matches the builder's exactly.
-  workload::AuctionsOptions opts;
-  opts.num_items = 200;
-  opts.num_people = 120;
-  opts.num_auctions = 180;
-  StoredDocument built =
-      StoredDocument::Build(workload::GenerateAuctions(opts));
-  ASSERT_GE(built.partitions().count(), 2u);
-  auto loaded = Snapshot::Load(Snapshot::Write(built));
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(loaded->partitions() == built.partitions());
-  EXPECT_EQ(Snapshot::Write(*loaded), Snapshot::Write(built));
-}
-
-TEST(SnapshotV2Test, V1LoadDerivesPartitions) {
-  // The legacy format has no PARTS section; the loader recomputes the
-  // partition metadata, so v1 and v2 loads agree.
-  workload::AuctionsOptions opts;
-  opts.num_items = 150;
-  opts.num_people = 80;
-  opts.num_auctions = 120;
-  StoredDocument built =
-      StoredDocument::Build(workload::GenerateAuctions(opts));
-  ASSERT_GE(built.partitions().count(), 2u);
-  auto v1 = Snapshot::Load(Snapshot::Write(built, 1));
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  EXPECT_TRUE(v1->partitions() == built.partitions());
-}
-
-TEST(SnapshotV2Test, SmallDocumentStillPartitionsOnLoad) {
-  // Below one chunk of nodes the document has exactly one partition; load
-  // paths must produce the same (trivial) metadata as Build.
-  xml::Document doc = testutil::PaperFigure2();
-  StoredDocument built = StoredDocument::Build(doc);
-  EXPECT_EQ(built.partitions().count(), 1u);
-  for (uint32_t version : {1u, 2u}) {
-    auto loaded = Snapshot::Load(Snapshot::Write(built, version));
-    ASSERT_TRUE(loaded.ok()) << "v" << version << ": " << loaded.status();
-    EXPECT_TRUE(loaded->partitions() == built.partitions())
-        << "v" << version;
+/// Section kinds listed in a v2 snapshot's directory, in order.
+std::vector<uint8_t> SectionKinds(std::string_view snap) {
+  // magic (4) | version varint (1) | checksum (8) | u8 count | 17-byte rows
+  std::vector<uint8_t> kinds;
+  if (snap.size() < 14) return kinds;
+  const size_t count = static_cast<uint8_t>(snap[13]);
+  for (size_t i = 0; i < count && 14 + 17 * i < snap.size(); ++i) {
+    kinds.push_back(static_cast<uint8_t>(snap[14 + 17 * i]));
   }
+  return kinds;
+}
+
+TEST(SnapshotV2Test, CheckedInFixturesAnswerLikeAFreshBuild) {
+  // books_v2_parts.vpsn was written by an older v2 writer that emitted a
+  // PARTS section (kind 5, subtree-partition metadata). Readers still
+  // accept it and skip those bytes; books_v1.vpsn is the legacy format.
+  // Regenerate neither: they pin what old files look like.
+  const std::string dir = VPBN_TEST_DATA_DIR;
+  std::ifstream xml_in(dir + "/books.xml");
+  std::stringstream xml_text;
+  xml_text << xml_in.rdbuf();
+  auto doc = xml::Parse(xml_text.str());
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  auto fresh = std::make_shared<const StoredDocument>(
+      StoredDocument::Build(std::move(*doc)));
+  query::QueryEngine want(fresh);
+
+  std::ifstream parts_in(dir + "/books_v2_parts.vpsn", std::ios::binary);
+  std::stringstream parts_bytes;
+  parts_bytes << parts_in.rdbuf();
+  const std::vector<uint8_t> old_kinds = SectionKinds(parts_bytes.str());
+  ASSERT_NE(std::find(old_kinds.begin(), old_kinds.end(), 5),
+            old_kinds.end())
+      << "fixture lost its PARTS section";
+
+  for (const char* name : {"books_v2_parts.vpsn", "books_v1.vpsn"}) {
+    for (bool use_mmap : {true, false}) {
+      auto loaded = Snapshot::LoadFile(dir + "/" + name, nullptr, use_mmap);
+      ASSERT_TRUE(loaded.ok()) << name << ": " << loaded.status();
+      const std::string rewritten = Snapshot::Write(*loaded);
+      EXPECT_EQ(rewritten, Snapshot::Write(*fresh)) << name;
+      const std::vector<uint8_t> kinds = SectionKinds(rewritten);
+      EXPECT_EQ(std::find(kinds.begin(), kinds.end(), 5), kinds.end())
+          << name << ": the writer emitted a PARTS section";
+
+      query::QueryEngine got(
+          std::make_shared<const StoredDocument>(std::move(*loaded)));
+      for (const char* q : {"//book/title", "//book[author/name]/title",
+                            "//author/name/text()", "/data/book[2]//location",
+                            "//book[title = \"Y\"]/publisher"}) {
+        auto a = want.Execute(q, {});
+        auto b = got.Execute(q, {});
+        ASSERT_TRUE(a.ok() && b.ok()) << name << " " << q;
+        EXPECT_EQ(b->nodes(), a->nodes()) << name << " " << q;
+        EXPECT_EQ(got.StringValues(*b), want.StringValues(*a))
+            << name << " " << q;
+      }
+    }
+  }
+}
+
+TEST(SnapshotTest, MultiChunkBuildIsPoolIndependent) {
+  // Large enough (> 1024 nodes) that row assignment splits the document
+  // into several chunks, so the pool build really fills rows in parallel.
+  workload::AuctionsOptions opts;
+  opts.num_items = 120;
+  opts.num_people = 60;
+  opts.num_auctions = 90;
+  xml::Document d1 = workload::GenerateAuctions(opts);
+  xml::Document d2 = workload::GenerateAuctions(opts);
+  ASSERT_GT(d1.num_nodes(), 2048u);
+  common::ThreadPool pool(8);
+  StoredDocument seq = StoredDocument::Build(std::move(d1));
+  StoredDocument par = StoredDocument::Build(std::move(d2), &pool);
+  EXPECT_EQ(Snapshot::Write(seq), Snapshot::Write(par))
+      << "snapshot bytes differ across build pools";
 }
 
 }  // namespace
