@@ -8,8 +8,11 @@
 /// predicate work; the merge side runs one linear group merge per
 /// (context-vtype, result-vtype) pair over batch-decoded columns, with the
 /// pair tasks doubling as the parallel grain. Results are byte-identical
-/// (asserted here on every query); only the wall clock moves. Emits a
-/// table to stdout and a JSON record with baseline + speedup.
+/// (asserted here on every query, before any timing); only the wall clock
+/// moves. Value-predicate rows compare the set-at-a-time predicate path
+/// (VirtualAdapter::BatchPredicate) with per-node predicate evaluation the
+/// same way. Emits a table to stdout and a JSON record with baseline +
+/// speedup.
 ///
 ///   $ ./bench_e11_virtual_join [num_auctions] [out.json]
 ///       [--benchmark_min_time=0.01s]
@@ -73,15 +76,19 @@ int main(int argc, char** argv) {
     const char* label;  ///< which axis family the hot step exercises
     const char* query;
   };
-  // The predicate case is a control: predicated steps take the slotted
-  // path and per-node predicate evaluation dominates, so the merge join
-  // is expected to be roughly neutral there.
+  // The predicate rows run value predicates set-at-a-time on the merge
+  // side (one witness probe per terminal vtype, then one merge per vtype
+  // pair) and per context node on the baseline, which is exactly the
+  // per-node path the batched predicate replaces; the byte-identity check
+  // below gates them like every other row.
   const Case cases[] = {
       {"descendant", "//auction//price"},
       {"descendant", "//auction/descendant-or-self::*"},
       {"child", "//auction/bidder/price"},
       {"child+pred", "//auction/bidder[price > 150]"},
       {"ancestor", "//price/ancestor::auction"},
+      {"value pred", "//auction[itemref = 'item7']/bidder/price"},
+      {"value pred", "//auction[bidder/price > 120]/itemref"},
   };
 
   std::printf(

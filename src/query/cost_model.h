@@ -27,6 +27,7 @@
 
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -109,6 +110,17 @@ class CostModel {
     double walk = static_cast<double>(n_context) * w_.probe *
                   Log2(n_candidates);
     return merge < walk;
+  }
+
+  /// Whether MergeBeatsWalk(n_context, c) holds for some candidate volume
+  /// c — a necessary condition callers check before resolving candidates.
+  /// walk − merge is concave in c and peaks at c* = probe·n / (row·ln 2),
+  /// so the integers around c* decide it.
+  bool MergeCanBeatWalk(size_t n_context) const {
+    const auto peak = static_cast<size_t>(
+        w_.probe * static_cast<double>(n_context) / (w_.row * std::log(2.0)));
+    return MergeBeatsWalk(n_context, peak) ||
+           MergeBeatsWalk(n_context, peak + 1);
   }
 
  private:

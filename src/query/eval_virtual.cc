@@ -1,6 +1,7 @@
 #include "query/eval_virtual.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <unordered_map>
 #include <utility>
 
@@ -8,6 +9,7 @@
 #include "pbn/packed.h"
 #include "pbn/structural_join.h"
 #include "query/cost_model.h"
+#include "query/value_pushdown.h"
 
 namespace vpbn::query {
 
@@ -22,6 +24,59 @@ std::string TestCacheKey(const NodeTest& test) {
   std::string key(1, static_cast<char>('0' + static_cast<int>(test.kind)));
   key += test.name;
   return key;
+}
+
+/// The vDataGuide analogue of value_pushdown's ResolveChainTypes: the
+/// terminal vtypes a predicate-free chain reaches from \p context by a
+/// type-level frontier walk over the virtual type forest. Sorted ascending.
+std::vector<vdg::VTypeId> ResolveVChainTypes(const vdg::VDataGuide& vg,
+                                             vdg::VTypeId context,
+                                             const Path& path) {
+  std::vector<vdg::VTypeId> frontier{context};
+  std::vector<char> seen;
+  std::vector<vdg::VTypeId> stack;
+  for (const Step& step : path.steps) {
+    seen.assign(vg.num_vtypes(), 0);
+    std::vector<vdg::VTypeId> next;
+    auto add = [&](vdg::VTypeId t) {
+      if (!seen[t]) {
+        seen[t] = 1;
+        next.push_back(t);
+      }
+    };
+    auto matches = [&](vdg::VTypeId t) {
+      return step.test.Matches(!vg.IsTextVType(t), vg.label(t));
+    };
+    for (vdg::VTypeId t : frontier) {
+      switch (step.axis) {
+        case num::Axis::kChild:
+          for (vdg::VTypeId c : vg.children(t)) {
+            if (matches(c)) add(c);
+          }
+          break;
+        case num::Axis::kDescendant:
+        case num::Axis::kDescendantOrSelf:
+          // IsPredicateFreeChain admits only the anonymous '//' form of
+          // descendant-or-self, which keeps the frontier itself and cannot
+          // end a chain (see ResolveChainTypes).
+          if (step.axis == num::Axis::kDescendantOrSelf) add(t);
+          stack.assign(vg.children(t).begin(), vg.children(t).end());
+          while (!stack.empty()) {
+            const vdg::VTypeId d = stack.back();
+            stack.pop_back();
+            if (step.axis == num::Axis::kDescendantOrSelf || matches(d)) add(d);
+            stack.insert(stack.end(), vg.children(d).begin(),
+                         vg.children(d).end());
+          }
+          break;
+        default:
+          break;  // unreachable: IsPredicateFreeChain screens axes
+      }
+    }
+    frontier = std::move(next);
+  }
+  std::sort(frontier.begin(), frontier.end());
+  return frontier;
 }
 
 }  // namespace
@@ -121,6 +176,77 @@ bool VirtualAdapter::ChainSafe(vdg::VTypeId top, vdg::VTypeId bottom) const {
   return true;
 }
 
+bool VirtualAdapter::ChainMergeable(vdg::VTypeId top,
+                                    vdg::VTypeId bottom) const {
+  if (!ChainSafe(top, bottom)) return false;  // also: bottom is under top
+  const vdg::VDataGuide& vg = vdoc_->vguide();
+  const dg::DataGuide& orig = vg.original_guide();
+  for (vdg::VTypeId c = bottom; c != top; c = vg.parent(c)) {
+    // A null original LCA empties the placement relation while the number
+    // test stays vacuously true (the BatchAxis child-pair rule).
+    if (orig.LcaType(vg.original(vg.parent(c)), vg.original(c)) ==
+        dg::kNullType) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::shared_ptr<const std::vector<vdg::VTypeId>> VirtualAdapter::VChainTypes(
+    const Path* chain, vdg::VTypeId context) const {
+  auto build = [&] {
+    return ResolveVChainTypes(vdoc_->vguide(), context, *chain);
+  };
+  if (ctx_ == nullptr) {
+    return std::make_shared<const std::vector<vdg::VTypeId>>(build());
+  }
+  char key[64];
+  std::snprintf(key, sizeof(key), "vvct:%p:%u",
+                static_cast<const void*>(chain), context);
+  return ctx_->CachedVTypes(key, build);
+}
+
+VirtualAdapter::Groups VirtualAdapter::GroupByVType(
+    const std::vector<VirtualNode>& context) const {
+  Groups groups;
+  std::unordered_map<uint32_t, ContextGroup*> index;
+  for (size_t i = 0; i < context.size(); ++i) {
+    auto [it, inserted] = index.emplace(context[i].vtype, nullptr);
+    if (inserted) {
+      groups.push_back(std::make_unique<ContextGroup>());
+      groups.back()->vtype = context[i].vtype;
+      it->second = groups.back().get();
+    }
+    ContextGroup& g = *it->second;
+    g.slots.push_back(static_cast<uint32_t>(i));
+    const num::Pbn& p = vdoc_->stored().numbering().OfNode(context[i].node);
+    g.col.Append(p.components().data(), static_cast<uint32_t>(p.length()));
+  }
+  return groups;
+}
+
+bool VirtualAdapter::MergeWins(size_t n_context,
+                               std::optional<size_t> n_candidates) const {
+  const size_t min_context = ctx_ != nullptr
+                                 ? ctx_->vjoin_min_context()
+                                 : ExecContext::kDefaultVJoinMinContext;
+  if (ctx_ == nullptr || !ctx_->use_cost_model() ||
+      min_context != ExecContext::kDefaultVJoinMinContext) {
+    return n_context >= min_context;
+  }
+  const CostModel cm(vdoc_->stored());
+  return n_candidates ? cm.MergeBeatsWalk(n_context, *n_candidates)
+                      : cm.MergeCanBeatWalk(n_context);
+}
+
+void VirtualAdapter::CountJoin(const num::JoinCounters& total) const {
+  if (ctx_ == nullptr) return;
+  ctx_->CountComparisons(total.comparisons, total.bytes_compared);
+  ctx_->CountVJoinPairs(total.vjoin_pairs);
+  ctx_->CountDecodedBatches(total.decoded_batches);
+  ctx_->CountBlockSkips(total.block_skips);
+}
+
 void VirtualAdapter::DescendantWalkUnsafe(const VirtualNode& n,
                                           const NodeTest& test,
                                           std::vector<VirtualNode>* out) const {
@@ -130,7 +256,7 @@ void VirtualAdapter::DescendantWalkUnsafe(const VirtualNode& n,
   while (!frontier.empty()) {
     std::vector<VirtualNode> next;
     for (const VirtualNode& c : frontier) {
-      if (VTypeMatches(c.vtype, test) && !ChainSafe(n.vtype, c.vtype)) {
+      if (VTypeMatches(c.vtype, test) && !ChainMergeable(n.vtype, c.vtype)) {
         out->push_back(c);
       }
       std::vector<VirtualNode> down = vdoc_->Children(c);
@@ -240,28 +366,15 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
   }
   // The descendant family already scans whole candidate lists per context
   // node, so merging wins at any context size. Child / parent / ancestor
-  // trade sublinear per-node range scans for full-list merges — only worth
-  // it once the context is large enough to amortize a pass. With the cost
-  // model on, that trade is costed against the actual candidate volume
-  // (CostModel::MergeBeatsWalk); an explicitly set vjoin_min_context (tests
-  // pin it to 1 to force merging on tiny documents) still wins.
-  const size_t min_context = ctx_ != nullptr
-                                 ? ctx_->vjoin_min_context()
-                                 : ExecContext::kDefaultVJoinMinContext;
+  // trade sublinear per-node range scans for full-list merges (MergeWins).
   if (!desc) {
-    if (ctx_ != nullptr && ctx_->use_cost_model() &&
-        min_context == ExecContext::kDefaultVJoinMinContext) {
-      const vdg::VDataGuide& cvg = vdoc_->vguide();
-      const auto types = MatchingVTypes(test);  // keep the cache entry alive
-      size_t candidates = 0;
-      for (vdg::VTypeId t : *types) {
-        candidates += vdoc_->stored().NodeIdsOfType(cvg.original(t)).size();
-      }
-      CostModel cm(vdoc_->stored());
-      if (!cm.MergeBeatsWalk(context.size(), candidates)) return false;
-    } else if (context.size() < min_context) {
-      return false;
+    const vdg::VDataGuide& cvg = vdoc_->vguide();
+    const auto types = MatchingVTypes(test);  // keep the cache entry alive
+    size_t candidates = 0;
+    for (vdg::VTypeId t : *types) {
+      candidates += vdoc_->stored().NodeIdsOfType(cvg.original(t)).size();
     }
+    if (!MergeWins(context.size(), candidates)) return false;
   }
 
   const vdg::VDataGuide& vg = vdoc_->vguide();
@@ -280,23 +393,7 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
     }
   }
 
-  // Partition the context by vtype, preserving order (see ContextGroup).
-  std::vector<std::unique_ptr<ContextGroup>> groups;
-  {
-    std::unordered_map<uint32_t, ContextGroup*> index;
-    for (size_t i = 0; i < context.size(); ++i) {
-      auto [it, inserted] = index.emplace(context[i].vtype, nullptr);
-      if (inserted) {
-        groups.push_back(std::make_unique<ContextGroup>());
-        groups.back()->vtype = context[i].vtype;
-        it->second = groups.back().get();
-      }
-      ContextGroup& g = *it->second;
-      g.slots.push_back(static_cast<uint32_t>(i));
-      const num::Pbn& p = vdoc_->stored().numbering().OfNode(context[i].node);
-      g.col.Append(p.components().data(), static_cast<uint32_t>(p.length()));
-    }
-  }
+  const Groups groups = GroupByVType(context);
 
   // One task per (context vtype, result vtype) pair the type forest can
   // produce, in deterministic enumeration order. Divergences between the
@@ -342,7 +439,7 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
             stack.push_back(*it);
           }
           if (!VTypeMatches(dt, test)) continue;
-          if (ChainSafe(ct, dt)) {
+          if (ChainMergeable(ct, dt)) {
             tasks.push_back({&g, dt, false});
           } else {
             need_walk = true;
@@ -391,14 +488,9 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
                         }
                       });
 
-  if (ctx_ != nullptr) {
-    num::JoinCounters total;
-    for (const num::JoinCounters& c : task_counters) total.Add(c);
-    ctx_->CountComparisons(total.comparisons, total.bytes_compared);
-    ctx_->CountVJoinPairs(total.vjoin_pairs);
-    ctx_->CountDecodedBatches(total.decoded_batches);
-    ctx_->CountBlockSkips(total.block_skips);
-  }
+  num::JoinCounters total;
+  for (const num::JoinCounters& c : task_counters) total.Add(c);
+  CountJoin(total);
 
   // Task order is deterministic and the caller sorts downstream (per slot
   // or over the flattened list), so the result is identical for any thread
@@ -417,6 +509,162 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
       for (const auto& [slot, node] : hits) flat->push_back(node);
     }
   }
+  return true;
+}
+
+bool VirtualAdapter::CanBatchPredicate(const Expr& e, vdg::VTypeId ct,
+                                       size_t* candidates) const {
+  switch (e.kind) {
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr:
+      return CanBatchPredicate(*e.lhs, ct, candidates) &&
+             CanBatchPredicate(*e.rhs, ct, candidates);
+    case Expr::Kind::kNot:
+      return CanBatchPredicate(*e.lhs, ct, candidates);
+    default:
+      break;
+  }
+  const bool compare = e.kind != Expr::Kind::kPath;
+  const Path* chain = nullptr;
+  ValuePred vp;
+  if (!compare) {
+    if (!IsPredicateFreeChain(e.path)) return false;
+    chain = &e.path;
+  } else if (RecognizeValuePred(e, &vp) &&
+             vp.kind == ValuePred::Kind::kPathCompare) {
+    chain = vp.path;
+  } else {
+    return false;  // contains / starts-with / attributes stay per node
+  }
+  const vdg::VDataGuide& vg = vdoc_->vguide();
+  const auto tts = VChainTypes(chain, ct);  // keep the list alive
+  for (vdg::VTypeId tt : *tts) {
+    if (!ChainMergeable(ct, tt)) return false;
+    // Witnesses come from the value column, so the merge answers exactly
+    // the values FastStringValue would have compared.
+    if (compare && vdoc_->ValueColumn(tt) == nullptr) return false;
+    *candidates += vdoc_->stored().NodeIdsOfType(vg.original(tt)).size();
+  }
+  return true;
+}
+
+std::shared_ptr<const std::vector<uint32_t>> VirtualAdapter::PredicateGate(
+    const Expr& pred, vdg::VTypeId ct) const {
+  auto build = [&] {
+    size_t candidates = 0;
+    return CanBatchPredicate(pred, ct, &candidates)
+               ? std::vector<uint32_t>{static_cast<uint32_t>(candidates)}
+               : std::vector<uint32_t>{};
+  };
+  if (ctx_ == nullptr) {
+    return std::make_shared<const std::vector<uint32_t>>(build());
+  }
+  // Raw bytes behind a one-letter tag (no other key starts with 'g'):
+  // short enough for std::string's inline buffer, and no formatting — this
+  // runs for every per-slot list of a predicated step.
+  const Expr* e = &pred;
+  std::string key(1, 'g');
+  key.append(reinterpret_cast<const char*>(&e), sizeof(e));
+  key.append(reinterpret_cast<const char*>(&ct), sizeof(ct));
+  return ctx_->CachedVTypes(key, build);
+}
+
+void VirtualAdapter::EvalBatchPredicate(const Expr& e, const Groups& groups,
+                                        std::vector<char>* keep,
+                                        num::JoinCounters* counters) const {
+  switch (e.kind) {
+    case Expr::Kind::kAnd:
+    case Expr::Kind::kOr: {
+      EvalBatchPredicate(*e.lhs, groups, keep, counters);
+      std::vector<char> rhs(keep->size(), 0);
+      EvalBatchPredicate(*e.rhs, groups, &rhs, counters);
+      for (size_t i = 0; i < keep->size(); ++i) {
+        (*keep)[i] = e.kind == Expr::Kind::kAnd ? ((*keep)[i] && rhs[i])
+                                                : ((*keep)[i] || rhs[i]);
+      }
+      return;
+    }
+    case Expr::Kind::kNot:
+      EvalBatchPredicate(*e.lhs, groups, keep, counters);
+      for (size_t i = 0; i < keep->size(); ++i) (*keep)[i] = !(*keep)[i];
+      return;
+    default:
+      break;
+  }
+  // A leaf CanBatchPredicate vetted: bare-chain existence (every terminal
+  // instance is a witness) or [chain op literal] (the matching rows are).
+  ValuePred vp;
+  const bool compare = e.kind != Expr::Kind::kPath;
+  if (compare) RecognizeValuePred(e, &vp);
+  const Path* chain = compare ? vp.path : &e.path;
+  const vdg::VDataGuide& vg = vdoc_->vguide();
+  const dg::DataGuide& orig = vg.original_guide();
+  num::DecodedPbnColumn matched;
+  for (const std::unique_ptr<ContextGroup>& gp : groups) {
+    const ContextGroup& g = *gp;
+    const auto tts = VChainTypes(chain, g.vtype);
+    for (vdg::VTypeId tt : *tts) {
+      const dg::TypeId ot = vg.original(tt);
+      bool built = false;
+      const num::DecodedPbnColumn& all = vdoc_->DecodedNodesOfType(ot, &built);
+      if (built) counters->decoded_batches += 1;
+      const num::DecodedPbnColumn* witnesses = &all;
+      if (compare) {
+        // Keyed per vtype, not per original type: two vtypes over one
+        // original type may carry different (assembled) values, and the
+        // column's own dictionary is the one a non-intact vtype carries.
+        const auto rows = MatchingRows(*vdoc_->ValueColumn(tt), &e, tt,
+                                       vp.op, vp.lit, ctx_);
+        if (rows->empty()) continue;
+        matched.Clear();
+        matched.Reserve(rows->size(), orig.length(ot));
+        for (uint32_t r : *rows) matched.Append(all.comps(r), all.length(r));
+        witnesses = &matched;
+      }
+      const virt::VPairMergePlan plan = vdoc_->space().PlanPairMerge(
+          g.vtype, tt, orig.length(vg.original(g.vtype)), orig.length(ot));
+      virt::MergeCompatiblePairs(plan, g.col, *witnesses, counters,
+                                 [&](size_t xi, size_t) {
+                                   (*keep)[g.slots[xi]] = 1;
+                                 });
+    }
+  }
+}
+
+bool VirtualAdapter::BatchPredicate(const Expr& pred,
+                                    const std::vector<VirtualNode>& nodes,
+                                    std::vector<char>* keep) const {
+  if (nodes.empty()) return false;
+  // Every decline leaves the predicate to the per-node walk.
+  auto decline = [&] {
+    if (ctx_ != nullptr) ctx_->CountValueScanFallbacks(nodes.size());
+    return false;
+  };
+  if (ctx_ != nullptr && (!ctx_->virtual_join() || !ctx_->use_value_index())) {
+    return decline();
+  }
+  // Decide before grouping: a predicated step calls this once per context
+  // node's short axis list, and a decline must cost far less than the
+  // walk it hands back — lists too short for any merge to win decline
+  // before a single lookup.
+  if (!MergeWins(nodes.size(), std::nullopt)) return decline();
+  std::vector<vdg::VTypeId> vtypes;
+  size_t candidates = 0;
+  for (const VirtualNode& n : nodes) {
+    if (std::find(vtypes.begin(), vtypes.end(), n.vtype) != vtypes.end()) {
+      continue;
+    }
+    vtypes.push_back(n.vtype);
+    const auto gate = PredicateGate(pred, n.vtype);
+    if (gate->empty()) return decline();
+    candidates += gate->front();
+  }
+  if (!MergeWins(nodes.size(), candidates)) return decline();
+  const Groups groups = GroupByVType(nodes);
+  keep->assign(nodes.size(), 0);
+  num::JoinCounters counters;
+  EvalBatchPredicate(pred, groups, keep, &counters);
+  CountJoin(counters);
   return true;
 }
 
@@ -461,7 +709,7 @@ std::vector<VirtualNode> VirtualAdapter::Axis(const VirtualNode& n,
           stack.push_back(*it);
         }
         if (!VTypeMatches(dt, test)) continue;
-        if (!ChainSafe(n.vtype, dt)) {
+        if (!ChainMergeable(n.vtype, dt)) {
           need_bfs = true;
           continue;
         }

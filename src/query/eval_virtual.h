@@ -14,8 +14,16 @@
 /// (virt::MergeCompatiblePairs) over the pair's batch-decoded instance
 /// columns — a linear pass per pair instead of |context| x |candidates|
 /// predicate calls. Pairs whose intermediate chain is not provably intact
-/// (ChainSafe) fall back to the exact per-node chain expansion, so results
-/// are byte-identical to the per-candidate path.
+/// (ChainSafe), or crosses a link whose original types share no LCA, fall
+/// back to the exact per-node chain expansion, so results are
+/// byte-identical to the per-candidate path.
+///
+/// Value predicates run set-at-a-time the same way (BatchPredicate): for
+/// `[chain op literal]` the content condition is answered first — one
+/// probe of each terminal vtype's value column yields the witness rows —
+/// and structure is decided on the survivors by one merge per (context
+/// vtype, terminal vtype) pair, instead of a relative-path walk and a
+/// string compare per context node.
 
 #pragma once
 
@@ -73,6 +81,24 @@ class VirtualAdapter {
   bool BatchAxisFlat(const std::vector<Node>& context, num::Axis axis,
                      const NodeTest& test, std::vector<Node>* out) const;
 
+  /// Whole-list predicate evaluation (evaluator.h AdapterHasBatchPredicate).
+  /// Covers `[chain op literal]`, bare `[chain]` existence and and / or /
+  /// not compositions of those, where `chain` is a predicate-free
+  /// child/descendant chain (IsPredicateFreeChain). Per context vtype the
+  /// chain resolves to terminal vtypes over the vDataGuide; each terminal
+  /// vtype's witnesses (value-column rows matching the literal, or every
+  /// instance for existence) are merged once against the context group's
+  /// numbers, and every context slot that pairs is kept. True: keep[i] is
+  /// the truth value per-node evaluation gives nodes[i]. False (nothing
+  /// written; the per-node walk runs): shape not covered (contains /
+  /// starts-with / attributes / positions), value index or merge joins
+  /// disabled, a terminal vtype not ChainSafe from its context vtype or
+  /// reached over a link with no original LCA, a compared terminal vtype
+  /// without a value column, or the merge costed to lose (the BatchAxis
+  /// rule).
+  bool BatchPredicate(const Expr& pred, const std::vector<Node>& nodes,
+                      std::vector<char>* keep) const;
+
   void SortUnique(std::vector<Node>* nodes) const;
   std::string StringValue(const Node& n) const;
   Result<std::string> Attribute(const Node& n, const std::string& name) const;
@@ -90,8 +116,46 @@ class VirtualAdapter {
   struct ContextGroup;
   struct JoinTask;
 
+  using Groups = std::vector<std::unique_ptr<ContextGroup>>;
+
+  /// Partitions \p context by vtype, preserving order (see ContextGroup).
+  Groups GroupByVType(const std::vector<Node>& context) const;
+  /// Whether a full-list merge is worth its pass over \p n_candidates
+  /// instances for a context of \p n_context nodes, against per-node range
+  /// walks: costed (CostModel::MergeBeatsWalk) when the cost model is on,
+  /// else the vjoin_min_context threshold. An explicitly set
+  /// vjoin_min_context (tests pin it to 1 to force merging on tiny
+  /// documents) wins over the cost model. With \p n_candidates unknown
+  /// (nullopt): whether any candidate volume could make the merge win.
+  bool MergeWins(size_t n_context, std::optional<size_t> n_candidates) const;
+  /// Folds one batch's merge counters into the ExecContext (if any).
+  void CountJoin(const num::JoinCounters& total) const;
+
   bool VTypeMatches(vdg::VTypeId t, const NodeTest& test) const;
   bool ChainSafe(vdg::VTypeId top, vdg::VTypeId bottom) const;
+  /// ChainSafe plus a non-null original LCA on every vDataGuide link from
+  /// \p top down to \p bottom: the pure-number descendant test then
+  /// decides exactly the chains the per-node walk finds. (Across a null-LCA
+  /// link the placement relation is empty while the number test is
+  /// vacuously true, so such types are left to the walk, which finds none.)
+  bool ChainMergeable(vdg::VTypeId top, vdg::VTypeId bottom) const;
+  /// Terminal vtypes the predicate-free \p chain reaches from \p context
+  /// over the vDataGuide (the analogue of value_pushdown's ChainTypes),
+  /// memoized per (chain, vtype) in the ExecContext.
+  std::shared_ptr<const std::vector<vdg::VTypeId>> VChainTypes(
+      const Path* chain, vdg::VTypeId context) const;
+
+  /// BatchPredicate's shape check for context vtype \p ct; adds the
+  /// terminal instances the merges would stream to \p candidates.
+  bool CanBatchPredicate(const Expr& e, vdg::VTypeId ct,
+                         size_t* candidates) const;
+  /// CanBatchPredicate memoized per (predicate, vtype) in the ExecContext:
+  /// empty when the predicate cannot batch from \p ct, else {candidates}.
+  std::shared_ptr<const std::vector<uint32_t>> PredicateGate(
+      const Expr& pred, vdg::VTypeId ct) const;
+  void EvalBatchPredicate(const Expr& e, const Groups& groups,
+                          std::vector<char>* keep,
+                          num::JoinCounters* counters) const;
   std::shared_ptr<const std::vector<vdg::VTypeId>> MatchingVTypes(
       const NodeTest& test) const;
 

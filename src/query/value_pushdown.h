@@ -2,9 +2,12 @@
 /// \brief Shared planning pieces for pushing value predicates into the
 /// dictionary-encoded value index (index/value_index.h).
 ///
-/// Both set-at-a-time evaluation (query/eval_bulk.cc) and the per-node
-/// indexed adapter (query/eval_indexed.h) recognize the same predicate
-/// shapes and answer them from the same index structures:
+/// Three evaluators share this planner: set-at-a-time evaluation
+/// (query/eval_bulk.cc), the indexed adapter (query/eval_indexed.h), and
+/// the virtual adapter's batched predicates (query/eval_virtual.h, which
+/// resolves chains over the vDataGuide and probes its per-vtype value
+/// columns). They recognize the same predicate shapes and answer them from
+/// the same index structures:
 ///
 ///   [path op literal]        -> per terminal type, a postings lookup
 ///                               (equality) or a binary-searched slice of
@@ -103,7 +106,10 @@ std::vector<uint32_t> CollectMatchingRows(const idx::TypeColumn& col,
 
 /// \brief CollectMatchingRows memoized in the execution's CachedVTypes
 /// store under (\p pred, \p t) — every context group and every repetition
-/// of the predicate reuses one collection. Uncached when \p ctx is null.
+/// of the predicate reuses one collection. \p t names \p col's type: a
+/// DataGuide type on the stored substrate, a vtype on the virtual one (an
+/// execution runs over one substrate, so the two never share a store).
+/// Uncached when \p ctx is null.
 std::shared_ptr<const std::vector<uint32_t>> MatchingRows(
     const idx::TypeColumn& col, const Expr* pred, dg::TypeId t, CompareOp op,
     const ValueLiteral& lit, ExecContext* ctx);

@@ -122,17 +122,22 @@ Result<uint64_t> Catalog::Reload(const std::string& name) {
   VPBN_ASSIGN_OR_RETURN(
       std::shared_ptr<const CatalogEntry> entry,
       BuildEntry(name, current->source, next_epoch, view_specs));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = docs_.find(name);
-  if (it == docs_.end()) {
-    return Status::NotFound("document '" + name +
-                            "' was dropped during reload");
+  current.reset();  // the map's reference is the one retired below
+  std::shared_ptr<const CatalogEntry> replaced;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = docs_.find(name);
+    if (it == docs_.end()) {
+      return Status::NotFound("document '" + name +
+                              "' was dropped during reload");
+    }
+    if (it->second->epoch >= next_epoch) {
+      // A concurrent reload won; its generation is at least as fresh.
+      return it->second->epoch;
+    }
+    replaced = std::exchange(it->second, std::move(entry));
   }
-  if (it->second->epoch >= next_epoch) {
-    // A concurrent reload won; its generation is at least as fresh.
-    return it->second->epoch;
-  }
-  it->second = std::move(entry);
+  Retire(std::move(replaced));
   return next_epoch;
 }
 
@@ -156,17 +161,53 @@ Result<uint64_t> Catalog::ReplaceDocumentXml(const std::string& name,
   const uint64_t next_epoch = current->epoch + 1;
   VPBN_ASSIGN_OR_RETURN(std::shared_ptr<const CatalogEntry> entry,
                         BuildEntry(name, source, next_epoch, view_specs));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = docs_.find(name);
-  if (it == docs_.end()) {
-    return Status::NotFound("document '" + name +
-                            "' was dropped during replace");
+  current.reset();
+  std::shared_ptr<const CatalogEntry> replaced;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = docs_.find(name);
+    if (it == docs_.end()) {
+      return Status::NotFound("document '" + name +
+                              "' was dropped during replace");
+    }
+    if (it->second->epoch >= next_epoch) {
+      return it->second->epoch;
+    }
+    replaced = std::exchange(it->second, std::move(entry));
   }
-  if (it->second->epoch >= next_epoch) {
-    return it->second->epoch;
-  }
-  it->second = std::move(entry);
+  Retire(std::move(replaced));
   return next_epoch;
+}
+
+Catalog::~Catalog() {
+  {
+    std::lock_guard<std::mutex> lock(reap_mu_);
+    reap_stop_ = true;
+  }
+  reap_cv_.notify_one();
+  if (reaper_.joinable()) reaper_.join();
+}
+
+void Catalog::Retire(std::shared_ptr<const CatalogEntry> old) {
+  {
+    std::lock_guard<std::mutex> lock(reap_mu_);
+    retired_.push_back(std::move(old));
+    if (!reaper_.joinable()) reaper_ = std::thread([this] { ReapLoop(); });
+  }
+  reap_cv_.notify_one();
+}
+
+void Catalog::ReapLoop() {
+  std::unique_lock<std::mutex> lock(reap_mu_);
+  for (;;) {
+    reap_cv_.wait(lock, [this] { return reap_stop_ || !retired_.empty(); });
+    std::vector<std::shared_ptr<const CatalogEntry>> batch;
+    batch.swap(retired_);
+    lock.unlock();
+    batch.clear();  // the (possibly last) references drop here
+    lock.lock();
+    if (reap_stop_ && retired_.empty()) return;
+  }
 }
 
 std::shared_ptr<const CatalogEntry> Catalog::Find(

@@ -18,6 +18,7 @@ std::string ResultCache::Key(const std::string& doc, const std::string& view,
   key += '\x1f';
   key += effective.virtual_join ? 'J' : 'j';
   key += effective.use_value_index ? 'V' : 'v';
+  key += effective.use_cost_model ? 'C' : 'c';
   key += '\x1f';
   key += std::to_string(epoch);
   return key;

@@ -41,11 +41,13 @@ class ResultCache {
   /// \p capacity 0 disables caching (every Get misses, Put drops).
   explicit ResultCache(size_t capacity) : capacity_(capacity) {}
 
-  /// The canonical cache key. Only result-shaping inputs participate:
-  /// threads, use_cost_model and collect_stats change how a query runs,
-  /// not what it returns, so requests differing only in those share an
-  /// entry (a hit reports the plan and wall time of the run that filled
-  /// it).
+  /// The canonical cache key. Besides the request identity and epoch, the
+  /// options that pick the executed plan participate — virtual_join,
+  /// use_value_index and use_cost_model — so a hit replays the plan that
+  /// request would have run (the answers are identical either way).
+  /// threads and collect_stats change neither the answer nor the plan, so
+  /// requests differing only in those share an entry (a hit reports the
+  /// wall time of the run that filled it).
   static std::string Key(const std::string& doc, const std::string& view,
                          const std::string& path,
                          const query::ExecOptions& effective, uint64_t epoch);

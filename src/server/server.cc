@@ -168,6 +168,19 @@ void Server::ServeConnection(int fd) {
       }
     }
     buffer.erase(0, start);
+    if (open && buffer.size() > kMaxLineBytes) {
+      // An unterminated line past the cap: refuse it instead of growing
+      // the buffer, and drop the connection (its stream has no next line
+      // boundary to resynchronize on).
+      metrics_.requests.fetch_add(1, std::memory_order_relaxed);
+      std::string response = CountedResponse(ErrorResponse(
+          Status::ResourceExhausted("request line exceeds " +
+                                    std::to_string(kMaxLineBytes) +
+                                    " bytes")));
+      response += '\n';
+      WriteAll(fd, response);
+      break;
+    }
   }
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

@@ -87,6 +87,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
+  /// Longest request line (newline excluded) a connection may send. Far
+  /// above any query the parsers accept (nesting is capped at
+  /// query::kMaxPathDepth), it only bounds the per-connection buffer: a
+  /// connection that exceeds it is answered `overload` and closed.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   /// Bind + listen + start the accept loop. InvalidArgument/Internal on
   /// socket failures.
   Status Start();

@@ -157,7 +157,29 @@ class XqParser {
     return Status::OK();
   }
 
+  /// RAII nesting counter for the recursive descent.
+  struct DepthGuard {
+    explicit DepthGuard(int* depth) : depth(depth) { ++*depth; }
+    ~DepthGuard() { --*depth; }
+    int* depth;
+  };
+
+  /// Every nesting construct — a parenthesis, a function argument, an
+  /// enclosed `{expr}`, a FLWR clause — recurses through ParseQueryExpr,
+  /// and nested element constructors through ParseElemCtor; both count
+  /// against one bound so deep input fails with a parse error instead of
+  /// exhausting the stack (the input can never succeed).
+  Status EnterNesting() {
+    if (depth_ >= kMaxQueryDepth) {
+      return Error("nesting exceeds max_depth=" +
+                   std::to_string(kMaxQueryDepth));
+    }
+    return Status::OK();
+  }
+
   Result<std::unique_ptr<XqExpr>> ParseQueryExpr() {
+    VPBN_RETURN_NOT_OK(EnterNesting());
+    DepthGuard guard(&depth_);
     SkipWhitespace();
     if (PeekKeyword("for") || PeekKeyword("let")) return ParseFlwr();
     return ParseOrExpr();
@@ -414,6 +436,8 @@ class XqParser {
   }
 
   Result<std::unique_ptr<XqExpr>> ParseElemCtor() {
+    VPBN_RETURN_NOT_OK(EnterNesting());
+    DepthGuard guard(&depth_);
     // At '<'.
     ++pos_;
     size_t start = pos_;
@@ -502,6 +526,7 @@ class XqParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

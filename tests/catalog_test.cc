@@ -131,6 +131,26 @@ TEST(CatalogTest, ReloadPublishesNewEpochWithoutDisturbingReaders) {
   EXPECT_TRUE(catalog.Reload("nope").status().IsNotFound());
 }
 
+TEST(CatalogTest, ReplacedGenerationsAreReleasedByTheReaper) {
+  std::weak_ptr<const CatalogEntry> first;
+  std::weak_ptr<const CatalogEntry> second;
+  {
+    Catalog catalog;
+    ASSERT_TRUE(catalog.AddDocumentXml("books", kBooksV1).ok());
+    first = catalog.Find("books");
+    ASSERT_TRUE(catalog.ReplaceDocumentXml("books", kBooksV2).ok());
+    second = catalog.Find("books");
+    ASSERT_TRUE(catalog.Reload("books").ok());
+    // The newest generation is published at once; the replaced ones are
+    // only referenced by the reaper (or already freed).
+    EXPECT_EQ(catalog.Find("books")->epoch, 3u);
+    EXPECT_EQ(CountTitles(*catalog.Find("books")->engine), 3u);
+  }
+  // Destroying the catalog drains the reaper: nothing is leaked.
+  EXPECT_TRUE(first.expired());
+  EXPECT_TRUE(second.expired());
+}
+
 TEST(CatalogTest, EngineDefaultsComeFromTheCatalog) {
   query::ExecOptions defaults;
   defaults.threads = 2;

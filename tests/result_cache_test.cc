@@ -41,6 +41,11 @@ TEST(ResultCacheTest, HitRequiresEveryKeyComponent) {
   no_join.virtual_join = !no_join.virtual_join;
   EXPECT_EQ(cache.Get(ResultCache::Key("books", "", "//title", no_join, 1)),
             nullptr);
+  // The cost model picks the plan a hit reports, so it keys too.
+  query::ExecOptions no_cost = opts;
+  no_cost.use_cost_model = !no_cost.use_cost_model;
+  EXPECT_EQ(cache.Get(ResultCache::Key("books", "", "//title", no_cost, 1)),
+            nullptr);
 }
 
 TEST(ResultCacheTest, ExecutionShapeOptionsDoNotFragmentTheKey) {

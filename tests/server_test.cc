@@ -193,6 +193,34 @@ TEST(ServerTest, ResponseReportsThePlanThatRan) {
   EXPECT_NE(rule.find("\"plan\":\"bulk\""), std::string::npos) << rule;
 }
 
+TEST(ServerTest, CachedAnswerReportsThePlanTheRequestAskedFor) {
+  // Same corpus as above: the costed plan is indexed, the rule plan bulk.
+  // With the result cache on, the --no-cost-model request must not be
+  // served the entry the default request filled.
+  std::string xml = "<r>";
+  for (int i = 0; i < 40; ++i) {
+    xml += "<a><k>" + std::to_string(i) + "</k>";
+    for (int j = 0; j < 50; ++j) xml += "<b>" + std::to_string(j) + "</b>";
+    xml += "</a>";
+  }
+  xml += "</r>";
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddDocumentXml("recs", xml).ok());
+  Server server(&catalog, ServerOptions{});
+  const std::string query = "//a[k = \"3\"]/b";
+
+  std::string costed = server.HandleLine("QUERY recs " + query);
+  EXPECT_NE(costed.find("\"plan\":\"indexed\""), std::string::npos) << costed;
+  std::string rule = server.HandleLine("QUERY recs --no-cost-model " + query);
+  EXPECT_EQ(JsonInt(rule, "count"), 50);
+  EXPECT_FALSE(JsonBool(rule, "cached")) << rule;
+  EXPECT_NE(rule.find("\"plan\":\"bulk\""), std::string::npos) << rule;
+  // Each variant still hits its own entry.
+  std::string again = server.HandleLine("QUERY recs --no-cost-model " + query);
+  EXPECT_TRUE(JsonBool(again, "cached")) << again;
+  EXPECT_NE(again.find("\"plan\":\"bulk\""), std::string::npos) << again;
+}
+
 TEST(ServerTest, RateLimitShedsWithOverloadCode) {
   ServerOptions opts;
   opts.rate_limit = 0.001;  // ~one token per 1000s: only the burst admits
@@ -319,6 +347,49 @@ TEST(ServerTest, ServesQueriesOverTcp) {
   EXPECT_EQ(a.rfind("{\"code\":0", 0), 0u) << a;
   EXPECT_EQ(b.rfind("{\"code\":0", 0), 0u) << b;
 
+  f.server->Stop();
+}
+
+TEST(ServerTest, OversizedLineIsShedAndTheServerKeepsAnswering) {
+  ServerOptions opts;
+  opts.num_workers = 2;
+  ServerFixture f(opts);
+  ASSERT_TRUE(f.server->Start().ok());
+
+  // An unterminated line past the cap: the server answers overload and
+  // closes the connection instead of buffering the rest.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(f.server->port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string chunk(64 * 1024, 'x');
+  size_t sent = 0;
+  while (sent <= Server::kMaxLineBytes + chunk.size()) {
+    ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server already closed its end
+    sent += static_cast<size_t>(n);
+  }
+  EXPECT_GT(sent, Server::kMaxLineBytes);
+  std::string response;
+  char buf[4096];
+  for (;;) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;  // closed after the one answer
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(response.rfind("{\"code\":3,\"error\":\"overload\"", 0), 0u)
+      << response.substr(0, 200);
+  EXPECT_EQ(f.server->metrics().overload.load(), 1u);
+
+  // A fresh connection still gets a normal answer.
+  std::string r = RoundTrip(f.server->port(), "QUERY books //book/title");
+  EXPECT_EQ(r.rfind("{\"code\":0", 0), 0u) << r;
+  EXPECT_EQ(JsonInt(r, "count"), 2);
   f.server->Stop();
 }
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "tests/test_util.h"
 #include "xml/serializer.h"
 #include "xquery/xq_engine.h"
@@ -156,6 +160,35 @@ TEST_F(XqFixture, Errors) {
   EXPECT_FALSE(e.Run("$unbound").ok());
   EXPECT_FALSE(e.Run("virtualDoc(\"book.xml\", \"nosuch\")//x").ok());
   EXPECT_FALSE(e.Run("for $x in doc(\"book.xml\")//a return").ok());
+}
+
+/// \p depth copies of \p open around \p inner, closed by \p close.
+std::string Nested(int depth, std::string_view open, std::string_view inner,
+                   std::string_view close) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += open;
+  text += inner;
+  for (int i = 0; i < depth; ++i) text += close;
+  return text;
+}
+
+TEST(XqParserTest, DeepNestingFailsWithParseError) {
+  const std::vector<std::string> deep = {
+      Nested(10000, "(", "1", ")"),
+      Nested(10000, "<a>", "x", "</a>"),
+      Nested(10000, "<a>{", "1", "}</a>"),
+      Nested(10000, "count(", "doc(\"d\")", ")"),
+  };
+  for (const std::string& q : deep) {
+    auto r = ParseQuery(q);
+    ASSERT_FALSE(r.ok()) << q.substr(0, 20);
+    EXPECT_TRUE(r.status().IsParseError()) << r.status();
+    EXPECT_NE(r.status().message().find("max_depth"), std::string::npos)
+        << r.status();
+  }
+  EXPECT_TRUE(ParseQuery(Nested(500, "(", "1", ")")).ok());
+  EXPECT_TRUE(ParseQuery(Nested(500, "<a>", "x", "</a>")).ok());
+  EXPECT_TRUE(ParseQuery(Nested(250, "<a>{", "1", "}</a>")).ok());
 }
 
 TEST_F(XqFixture, RegisterDuplicateFails) {
