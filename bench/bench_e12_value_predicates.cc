@@ -13,12 +13,20 @@
 /// wall clock and the counters move. Emits a table to stdout and a JSON
 /// record with baseline + speedup per query.
 ///
+/// A second block times selective lookups: the four templates of the
+/// `lookup` load workload (loadbench/) on ScaledAuctions(1.0), each over
+/// distinct literals. Every answer is checked against the navigational
+/// evaluator before timing; the block records execute µs per query and
+/// `nodes_scanned` per result row (JSON "lookups"), the counter CI bounds.
+///
 ///   $ ./bench_e12_value_predicates [num_books] [out.json]
 ///       [--benchmark_min_time=0.01s]
 ///
 /// The --benchmark_min_time flag (Google-Benchmark spelling, accepted for
-/// CI smoke runs) shrinks the workload and repetition count.
+/// CI smoke runs) shrinks the workload, the literal count and the
+/// repetition count (the lookup corpus stays at scale 1.0).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +35,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/random.h"
 #include "query/engine.h"
 #include "query/eval_nav.h"
 #include "workload/auctions.h"
@@ -194,6 +203,91 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
+  // Selective lookups over distinct literals (both caches of a server
+  // would miss): per template, every literal's answer must equal EvalNav's
+  // before any timing.
+  const workload::AuctionsOptions lopts = workload::ScaledAuctions(1.0);
+  auto lookup_stored = std::make_shared<const storage::StoredDocument>(
+      storage::StoredDocument::Build(workload::GenerateAuctions(lopts)));
+  struct LookupCase {
+    const char* label;
+    const char* head;        ///< query text before the literal
+    const char* tail;        ///< query text after it
+    const char* lit_prefix;  ///< "item" | "person"
+    int ids;                 ///< literal ids 0 .. ids-1
+  };
+  const LookupCase lookup_cases[] = {
+      {"auction-itemref", "//auction[itemref = \"", "\"]/bidder/price", "item",
+       lopts.num_items},
+      {"bidder-personref", "//bidder[personref = \"", "\"]/price", "person",
+       lopts.num_people},
+      {"person-id", "//person[@id = \"", "\"]/name", "person",
+       lopts.num_people},
+      {"item-id", "//item[@id = \"", "\"]/name", "item", lopts.num_items},
+  };
+  const int lookup_literals = smoke ? 8 : 64;
+  struct LookupRow {
+    std::string label;
+    std::string query;  ///< the template, literal shown as N
+    int literals = 0;
+    size_t result_rows = 0;
+    uint64_t nodes_scanned = 0;
+    double execute_us = 0;  ///< per query, median over reps
+  };
+  std::vector<LookupRow> lookup_rows;
+  query::QueryEngine lookup_engine(lookup_stored);
+  query::ExecOverrides timed_opts;
+  timed_opts.threads = 1;
+  query::ExecOverrides counted_opts = timed_opts;
+  counted_opts.collect_stats = true;
+  Rng lit_rng(12);
+  for (const LookupCase& c : lookup_cases) {
+    LookupRow row;
+    row.label = c.label;
+    row.query = std::string(c.head) + c.lit_prefix + "N" + c.tail;
+    row.literals = lookup_literals;
+    // Distinct ids: a partial Fisher-Yates draw.
+    std::vector<int> ids(static_cast<size_t>(c.ids));
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int>(i);
+    std::vector<query::PreparedQuery> prepared;
+    for (int k = 0; k < lookup_literals; ++k) {
+      const size_t j = k + lit_rng.Uniform(ids.size() - k);
+      std::swap(ids[k], ids[j]);
+      const std::string text = std::string(c.head) + c.lit_prefix +
+                               std::to_string(ids[k]) + c.tail;
+      auto q = lookup_engine.Prepare(text);
+      auto nav = query::EvalNav(lookup_stored->doc(), text);
+      if (!q.ok() || !nav.ok()) {
+        std::fprintf(stderr, "lookup failed: %s\n", text.c_str());
+        return 1;
+      }
+      auto r = lookup_engine.Execute(*q, counted_opts);
+      if (!r.ok()) {
+        std::fprintf(stderr, "execute failed on %s\n", text.c_str());
+        return 1;
+      }
+      std::vector<num::Pbn> expect;
+      for (xml::NodeId id : *nav) {
+        expect.push_back(lookup_stored->numbering().OfNode(id));
+      }
+      if (r->pbn_nodes() != expect) {
+        std::fprintf(stderr, "DIVERGENCE on %s: nav %zu vs engine %zu\n",
+                     text.c_str(), expect.size(), r->size());
+        return 1;
+      }
+      row.result_rows += r->size();
+      row.nodes_scanned += r->stats().nodes_scanned;
+      prepared.push_back(std::move(q).ValueUnsafe());
+    }
+    const double pass_ms = bench::MedianMs(reps, [&] {
+      for (const query::PreparedQuery& q : prepared) {
+        sink += lookup_engine.Execute(q, timed_opts)->size();
+      }
+    });
+    row.execute_us = 1000 * pass_ms / lookup_literals;
+    lookup_rows.push_back(std::move(row));
+  }
+
   bench::Table table({"case", "query", "nodes", "sel %", "scan ms",
                       "push ms", "speedup", "2T", "4T"});
   for (const Row& r : rows) {
@@ -203,6 +297,22 @@ int main(int argc, char** argv) {
                   Fmt(r.push_2t_ms), Fmt(r.push_4t_ms)});
   }
   table.Print();
+
+  std::printf("\nSelective lookups (ScaledAuctions(1.0): %zu nodes, %d "
+              "distinct literals per template, threads=1)\n\n",
+              static_cast<size_t>(lookup_stored->doc().num_nodes()),
+              lookup_literals);
+  bench::Table lookup_table(
+      {"case", "query", "rows", "execute us", "scanned/row"});
+  auto per_row = [](const LookupRow& r) {
+    return static_cast<double>(r.nodes_scanned) /
+           static_cast<double>(std::max<size_t>(r.result_rows, 1));
+  };
+  for (const LookupRow& r : lookup_rows) {
+    lookup_table.AddRow({r.label, r.query, std::to_string(r.result_rows),
+                         Fmt(r.execute_us, 1), Fmt(per_row(r), 2)});
+  }
+  lookup_table.Print();
 
   FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
@@ -236,6 +346,24 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.fallbacks), r.scan_ms, r.push_ms,
         r.push_2t_ms, r.push_4t_ms,
         r.push_ms > 0 ? r.scan_ms / r.push_ms : 0);
+  }
+  std::fprintf(out,
+               "\n  ],\n  \"lookup_workload\": {\"nodes\": %zu, "
+               "\"literals_per_template\": %d},\n  \"lookups\": [",
+               static_cast<size_t>(lookup_stored->doc().num_nodes()),
+               lookup_literals);
+  for (size_t i = 0; i < lookup_rows.size(); ++i) {
+    const LookupRow& r = lookup_rows[i];
+    std::fprintf(out,
+                 "%s\n    {\"case\": \"%s\", \"query\": \"%s\", "
+                 "\"literals\": %d, \"result_rows\": %zu, "
+                 "\"nodes_scanned\": %llu, "
+                 "\"nodes_scanned_per_result\": %.3f, "
+                 "\"execute_us\": %.2f}",
+                 i == 0 ? "" : ",", r.label.c_str(),
+                 JsonEscape(r.query).c_str(), r.literals, r.result_rows,
+                 static_cast<unsigned long long>(r.nodes_scanned), per_row(r),
+                 r.execute_us);
   }
   std::fprintf(out, "\n  ],\n  \"sink\": %zu\n}\n", sink % 2);
   std::fclose(out);

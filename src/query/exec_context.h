@@ -31,7 +31,9 @@ struct StepStats {
 
 /// \brief What one Execute call did. Returned inside QueryResult.
 struct ExecStats {
-  uint64_t nodes_scanned = 0;      ///< nodes produced by axis/index scans
+  uint64_t nodes_scanned = 0;      ///< rows steps and predicates produced
+                                   ///< or probed one by one (a type list
+                                   ///< borrowed whole is not scanned)
   uint64_t join_pairs = 0;         ///< structural-join pairs emitted
   uint64_t pbn_comparisons = 0;    ///< packed axis/order decisions made
   uint64_t bytes_compared = 0;     ///< encoded arena bytes those touched
@@ -39,7 +41,10 @@ struct ExecStats {
   uint64_t decoded_batches = 0;    ///< arenas batch-decoded into columns
   uint64_t block_skips = 0;        ///< whole key blocks skipped by joins
   uint64_t value_index_lookups = 0;   ///< dictionary / numeric-slice probes
-  uint64_t value_index_postings = 0;  ///< postings rows consumed by pushdown
+                                      ///< and attribute-column passes
+  uint64_t value_index_postings = 0;  ///< value-column rows consumed by
+                                      ///< pushdown (postings, slices,
+                                      ///< column scans)
   uint64_t value_scan_fallbacks = 0;  ///< value predicates scanned per node
   uint64_t zone_map_skips = 0;     ///< value/postings blocks skipped on bounds
   uint64_t est_rows = 0;           ///< planner's estimated result cardinality

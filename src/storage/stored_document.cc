@@ -266,9 +266,8 @@ void StoredDocument::HydrateNumbering() const {
 }
 
 Result<std::string_view> StoredDocument::Value(const num::Pbn& pbn) const {
-  VPBN_ASSIGN_OR_RETURN(auto range, ValueRange(pbn));
-  return std::string_view(text_).substr(range.first,
-                                        range.second - range.first);
+  VPBN_ASSIGN_OR_RETURN(xml::NodeId id, numbering().NodeOf(pbn));
+  return ValueOfNode(id);
 }
 
 Result<std::pair<uint64_t, uint64_t>> StoredDocument::ValueRange(

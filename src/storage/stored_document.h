@@ -119,6 +119,14 @@ class StoredDocument {
   /// Byte range [start, end) of the node's value in the stored string.
   Result<std::pair<uint64_t, uint64_t>> ValueRange(const num::Pbn& pbn) const;
 
+  /// Value of node \p id, sliced straight from its byte range: no number,
+  /// no hash probe, and no hydration of numbering() on a snapshot-loaded
+  /// document. \p id must be a node of doc().
+  std::string_view ValueOfNode(xml::NodeId id) const {
+    const auto& [start, end] = ranges_[id];
+    return std::string_view(text_).substr(start, end - start);
+  }
+
   /// The dictionary-encoded value index (term columns, postings, numeric
   /// rows) the query layer pushes value predicates into. Built with the
   /// document; immutable afterwards.

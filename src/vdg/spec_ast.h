@@ -44,6 +44,11 @@ struct Spec {
   std::string ToString() const;
 };
 
+/// Deepest label nesting ParseSpec accepts (the XML parser's default
+/// max_depth). Deeper input can never parse, so it fails with a ParseError
+/// instead of exhausting the stack.
+inline constexpr int kMaxSpecDepth = 512;
+
 /// \brief Parse the concrete syntax. Errors carry the offending position.
 Result<Spec> ParseSpec(std::string_view text);
 

@@ -20,7 +20,7 @@ class SpecParser {
     for (;;) {
       SkipWhitespace();
       if (AtEnd()) break;
-      VPBN_ASSIGN_OR_RETURN(SpecNode node, ParseItem(/*depth=*/0));
+      VPBN_ASSIGN_OR_RETURN(SpecNode node, ParseItem(/*depth=*/1));
       if (node.kind != SpecNode::Kind::kLabel) {
         return Error("'*' and '**' need an enclosing label");
       }
@@ -45,9 +45,11 @@ class SpecParser {
                               std::to_string(pos_) + ": " + msg);
   }
 
+  /// Parses one item at nesting level \p depth (top-level items are 1).
   Result<SpecNode> ParseItem(int depth) {
-    if (depth > 128) {
-      return Status::ResourceExhausted("vdataguide spec nests too deeply");
+    if (depth > kMaxSpecDepth) {
+      return Error("nesting exceeds max_depth=" +
+                   std::to_string(kMaxSpecDepth));
     }
     if (Peek() == '*') {
       ++pos_;

@@ -113,11 +113,22 @@ TEST(SpecParserTest, Errors) {
 }
 
 TEST(SpecParserTest, DeepNestingBounded) {
-  std::string deep;
-  for (int i = 0; i < 200; ++i) deep += "a {";
-  deep += "b";
-  for (int i = 0; i < 200; ++i) deep += "}";
-  EXPECT_TRUE(ParseSpec(deep).status().IsResourceExhausted());
+  // `levels` nested labels: a { a { ... b ... } }.
+  auto nested = [](int levels) {
+    std::string deep;
+    for (int i = 1; i < levels; ++i) deep += "a {";
+    deep += "b";
+    for (int i = 1; i < levels; ++i) deep += "}";
+    return deep;
+  };
+  // Input that can never parse is a parse error, not a retryable overload.
+  auto r = ParseSpec(nested(kMaxSpecDepth + 1));
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsParseError()) << r.status();
+  EXPECT_NE(r.status().message().find("max_depth"), std::string::npos)
+      << r.status();
+  EXPECT_TRUE(ParseSpec(nested(20000)).status().IsParseError());
+  EXPECT_TRUE(ParseSpec(nested(kMaxSpecDepth)).ok());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/snapshot.h"
 #include "tests/test_util.h"
 #include "vpbn/materializer.h"
 #include "xml/serializer.h"
@@ -108,6 +109,44 @@ TEST(VirtualValueTest, TextNodeValueIsEscapedText) {
   std::vector<VirtualNode> kids = v->Children(roots[0]);
   ASSERT_FALSE(kids.empty());
   EXPECT_EQ(values.Value(kids[0]), "A &amp; B");
+}
+
+TEST(VirtualValueTest, SnapshotLoadedDocumentServesTheSameValues) {
+  // Intact values are sliced by node id, so a snapshot-loaded document
+  // (whose number-to-node map is hydrated only on demand) answers them
+  // byte-identically to the built one, through both value entry points.
+  Fixture f;
+  auto loaded =
+      storage::Snapshot::Load(storage::Snapshot::Write(f.stored));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  for (const char* spec :
+       {"data { ** }", "title { author { name } }", "book { location title }"}) {
+    auto built_view = VirtualDocument::Open(f.stored, spec);
+    auto loaded_view = VirtualDocument::Open(*loaded, spec);
+    ASSERT_TRUE(built_view.ok() && loaded_view.ok()) << spec;
+    VirtualValueComputer built_values(*built_view);
+    VirtualValueComputer loaded_values(*loaded_view);
+    std::vector<VirtualNode> pending = loaded_view->Roots();
+    ASSERT_EQ(pending, built_view->Roots()) << spec;
+    size_t views = 0;
+    while (!pending.empty()) {
+      VirtualNode n = pending.back();
+      pending.pop_back();
+      EXPECT_EQ(loaded_values.Value(n), built_values.Value(n)) << spec;
+      std::string_view a, b;
+      const bool intact = loaded_values.ValueView(n, &a);
+      EXPECT_EQ(intact, built_values.ValueView(n, &b)) << spec;
+      if (intact) {
+        EXPECT_EQ(a, b) << spec;
+        EXPECT_EQ(a, loaded->ValueOfNode(n.node)) << spec;
+        ++views;
+      }
+      for (const VirtualNode& c : loaded_view->Children(n)) {
+        pending.push_back(c);
+      }
+    }
+    EXPECT_GT(views, 0u) << spec;
+  }
 }
 
 TEST(VirtualValueTest, StatsReset) {
