@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "pbn/packed.h"
 #include "pbn/structural_join.h"
 #include "storage/stored_document.h"
@@ -68,15 +67,13 @@ int main(int argc, char** argv) {
   // --- Ancestor-descendant join: auction ⊐ personref -----------------
   JoinCounters ad_counters;
   std::vector<JoinPair> ad_pairs =
-      num::AncestorDescendantJoin(p_auction, p_personref, nullptr,
-                                  &ad_counters);
+      num::AncestorDescendantJoin(p_auction, p_personref, &ad_counters);
   double ad_vector_ms = bench::MedianMs(kReps, [&] {
     sink += num::AncestorDescendantJoin(v_auction, v_personref).size();
   });
   double ad_packed_ms = bench::MedianMs(kReps, [&] {
-    sink += num::AncestorDescendantJoin(p_auction, p_personref, nullptr,
-                                        nullptr)
-                .size();
+    sink +=
+        num::AncestorDescendantJoin(p_auction, p_personref, nullptr).size();
   });
 
   // --- Comparison-bound A-D join: bidder ⊐ bidder ----------------------
@@ -89,14 +86,12 @@ int main(int argc, char** argv) {
   // equally there).
   JoinCounters sel_counters;
   std::vector<JoinPair> sel_pairs =
-      num::AncestorDescendantJoin(p_bidder, p_bidder, nullptr, &sel_counters);
+      num::AncestorDescendantJoin(p_bidder, p_bidder, &sel_counters);
   double sel_vector_ms = bench::MedianMs(kReps, [&] {
     sink += num::AncestorDescendantJoin(v_bidder, v_bidder).size();
   });
   double sel_packed_ms = bench::MedianMs(kReps, [&] {
-    sink +=
-        num::AncestorDescendantJoin(p_bidder, p_bidder, nullptr, nullptr)
-            .size();
+    sink += num::AncestorDescendantJoin(p_bidder, p_bidder, nullptr).size();
   });
 
   // --- Comparison throughput: the A-D join's decision kernel -----------
@@ -200,24 +195,12 @@ int main(int argc, char** argv) {
   // --- Parent-child join: bidder -> personref -------------------------
   JoinCounters pc_counters;
   std::vector<JoinPair> pc_pairs =
-      num::ParentChildJoin(p_bidder, p_personref, nullptr, &pc_counters);
+      num::ParentChildJoin(p_bidder, p_personref, &pc_counters);
   double pc_vector_ms = bench::MedianMs(kReps, [&] {
     sink += num::ParentChildJoin(v_bidder, v_personref).size();
   });
   double pc_packed_ms = bench::MedianMs(kReps, [&] {
-    sink += num::ParentChildJoin(p_bidder, p_personref, nullptr, nullptr)
-                .size();
-  });
-
-  // --- Parallel ancestor-descendant join ------------------------------
-  common::ThreadPool pool(4);
-  double ad_vector_par_ms = bench::MedianMs(kReps, [&] {
-    sink += num::AncestorDescendantJoin(v_auction, v_personref, &pool).size();
-  });
-  double ad_packed_par_ms = bench::MedianMs(kReps, [&] {
-    sink +=
-        num::AncestorDescendantJoin(p_auction, p_personref, &pool, nullptr)
-            .size();
+    sink += num::ParentChildJoin(p_bidder, p_personref, nullptr).size();
   });
 
   // Both kernel variants make the same kernel_decisions decisions, so the
@@ -244,12 +227,6 @@ int main(int argc, char** argv) {
   join_table.AddRow({"auction//personref", "packed", Fmt(ad_packed_ms),
                      std::to_string(ad_pairs.size()),
                      Fmt(mcmps(ad_counters.comparisons, ad_packed_ms), 1)});
-  join_table.AddRow({"auction//personref", "vector(4T)",
-                     Fmt(ad_vector_par_ms), std::to_string(ad_pairs.size()),
-                     Fmt(mcmps(ad_counters.comparisons, ad_vector_par_ms), 1)});
-  join_table.AddRow({"auction//personref", "packed(4T)",
-                     Fmt(ad_packed_par_ms), std::to_string(ad_pairs.size()),
-                     Fmt(mcmps(ad_counters.comparisons, ad_packed_par_ms), 1)});
   join_table.AddRow({"bidder//bidder(0)", "vector", Fmt(sel_vector_ms),
                      std::to_string(sel_pairs.size()),
                      Fmt(mcmps(sel_counters.comparisons, sel_vector_ms), 1)});
@@ -300,7 +277,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  std::fprintf(out, "{\n");
+  std::fprintf(out, "{\n  \"run\": %s,\n", bench::RunRecordJson().c_str());
   std::fprintf(out,
                "  \"experiment\": \"e10_packed_hotpath\",\n"
                "  \"workload\": {\"generator\": \"auctions\", \"nodes\": %zu, "
@@ -334,11 +311,6 @@ int main(int argc, char** argv) {
                pc_packed_ms > 0 ? pc_vector_ms / pc_packed_ms : 0,
                pc_pairs.size(),
                static_cast<unsigned long long>(pc_counters.comparisons));
-  std::fprintf(out,
-               "  \"ad_join_parallel\": {\"threads\": 4, \"vector_ms\": %.4f, "
-               "\"packed_ms\": %.4f, \"speedup\": %.3f},\n",
-               ad_vector_par_ms, ad_packed_par_ms,
-               ad_packed_par_ms > 0 ? ad_vector_par_ms / ad_packed_par_ms : 0);
   std::fprintf(out,
                "  \"comparison_throughput\": {\"decisions\": %llu, "
                "\"vector_ms\": %.4f, \"packed_ms\": %.4f, "

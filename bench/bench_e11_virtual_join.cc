@@ -6,8 +6,8 @@
 /// only difference is ExecOptions::virtual_join. The baseline evaluates
 /// each axis step as |context| x |candidates| (or per-node range-scan)
 /// predicate work; the merge side runs one linear group merge per
-/// (context-vtype, result-vtype) pair over batch-decoded columns, with the
-/// pair tasks doubling as the parallel grain. Results are byte-identical
+/// (context-vtype, result-vtype) pair over batch-decoded columns. Results
+/// are byte-identical
 /// (asserted here on every query, before any timing); only the wall clock
 /// moves. Value-predicate rows compare the set-at-a-time predicate path
 /// (VirtualAdapter::BatchPredicate) with per-node predicate evaluation the
@@ -104,8 +104,6 @@ int main(int argc, char** argv) {
     uint64_t decoded_batches = 0;
     double baseline_ms = 0;
     double merge_ms = 0;
-    double merge_2t_ms = 0;
-    double merge_4t_ms = 0;
   };
   std::vector<Row> rows;
   size_t sink = 0;
@@ -117,11 +115,9 @@ int main(int argc, char** argv) {
                    prepared.status().ToString().c_str());
       return 1;
     }
-    query::ExecOverrides base_opts{.threads = 1,
-                                   .collect_stats = false,
+    query::ExecOverrides base_opts{.collect_stats = false,
                                    .virtual_join = false};
-    query::ExecOverrides merge_opts{.threads = 1,
-                                    .collect_stats = true,
+    query::ExecOverrides merge_opts{.collect_stats = true,
                                     .virtual_join = true};
 
     // Warm-up: verifies byte-identity and pays one-time costs (decoded
@@ -153,26 +149,16 @@ int main(int argc, char** argv) {
     row.merge_ms = bench::MedianMs(reps, [&] {
       sink += engine.Execute(*prepared, merge_opts)->size();
     });
-    merge_opts.threads = 2;
-    row.merge_2t_ms = bench::MedianMs(reps, [&] {
-      sink += engine.Execute(*prepared, merge_opts)->size();
-    });
-    merge_opts.threads = 4;
-    row.merge_4t_ms = bench::MedianMs(reps, [&] {
-      sink += engine.Execute(*prepared, merge_opts)->size();
-    });
     rows.push_back(std::move(row));
   }
 
   bench::Table table(
-      {"axis", "query", "nodes", "baseline ms", "merge ms", "speedup", "2T",
-       "4T"});
+      {"axis", "query", "nodes", "baseline ms", "merge ms", "speedup"});
   for (const Row& r : rows) {
     table.AddRow({r.label, r.query, std::to_string(r.nodes),
                   Fmt(r.baseline_ms), Fmt(r.merge_ms),
                   Fmt(r.merge_ms > 0 ? r.baseline_ms / r.merge_ms : 0, 2) +
-                      "x",
-                  Fmt(r.merge_2t_ms), Fmt(r.merge_4t_ms)});
+                      "x"});
   }
   table.Print();
 
@@ -183,12 +169,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "{\n"
+               "  \"run\": %s,\n"
                "  \"experiment\": \"e11_virtual_join\",\n"
                "  \"workload\": {\"generator\": \"auctions\", \"nodes\": %zu, "
                "\"auctions\": %d, \"view\": "
                "\"auction { itemref bidder { price } }\"},\n"
                "  \"reps\": %d,\n"
                "  \"queries\": [",
+               bench::RunRecordJson().c_str(),
                static_cast<size_t>(stored->doc().num_nodes()), opts.num_auctions, reps);
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -196,13 +184,11 @@ int main(int argc, char** argv) {
         out,
         "%s\n    {\"axis\": \"%s\", \"query\": \"%s\", \"result_nodes\": %zu, "
         "\"vjoin_pairs\": %llu, \"decoded_batches\": %llu, "
-        "\"baseline_ms\": %.4f, \"merge_ms\": %.4f, \"merge_2t_ms\": %.4f, "
-        "\"merge_4t_ms\": %.4f, \"speedup\": %.3f}",
+        "\"baseline_ms\": %.4f, \"merge_ms\": %.4f, \"speedup\": %.3f}",
         i == 0 ? "" : ",", r.label.c_str(), r.query.c_str(), r.nodes,
         static_cast<unsigned long long>(r.vjoin_pairs),
         static_cast<unsigned long long>(r.decoded_batches), r.baseline_ms,
-        r.merge_ms, r.merge_2t_ms, r.merge_4t_ms,
-        r.merge_ms > 0 ? r.baseline_ms / r.merge_ms : 0);
+        r.merge_ms, r.merge_ms > 0 ? r.baseline_ms / r.merge_ms : 0);
   }
   std::fprintf(out, "\n  ],\n  \"sink\": %zu\n}\n", sink % 2);
   std::fclose(out);

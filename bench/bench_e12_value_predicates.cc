@@ -135,8 +135,6 @@ int main(int argc, char** argv) {
     uint64_t fallbacks = 0;
     double scan_ms = 0;
     double push_ms = 0;
-    double push_2t_ms = 0;
-    double push_4t_ms = 0;
   };
   std::vector<Row> rows;
   size_t sink = 0;
@@ -150,11 +148,9 @@ int main(int argc, char** argv) {
                    prepared.status().ToString().c_str());
       return 1;
     }
-    query::ExecOverrides scan_opts{.threads = 1,
-                                   .collect_stats = false,
+    query::ExecOverrides scan_opts{.collect_stats = false,
                                    .use_value_index = false};
-    query::ExecOverrides push_opts{.threads = 1,
-                                   .collect_stats = true,
+    query::ExecOverrides push_opts{.collect_stats = true,
                                    .use_value_index = true};
 
     // Warm-up verifies byte-identity and captures the counters.
@@ -190,14 +186,6 @@ int main(int argc, char** argv) {
       sink += engine.Execute(*prepared, scan_opts)->size();
     });
     row.push_ms = bench::MedianMs(reps, [&] {
-      sink += engine.Execute(*prepared, push_opts)->size();
-    });
-    push_opts.threads = 2;
-    row.push_2t_ms = bench::MedianMs(reps, [&] {
-      sink += engine.Execute(*prepared, push_opts)->size();
-    });
-    push_opts.threads = 4;
-    row.push_4t_ms = bench::MedianMs(reps, [&] {
       sink += engine.Execute(*prepared, push_opts)->size();
     });
     rows.push_back(std::move(row));
@@ -236,10 +224,8 @@ int main(int argc, char** argv) {
   };
   std::vector<LookupRow> lookup_rows;
   query::QueryEngine lookup_engine(lookup_stored);
-  query::ExecOverrides timed_opts;
-  timed_opts.threads = 1;
-  query::ExecOverrides counted_opts = timed_opts;
-  counted_opts.collect_stats = true;
+  const query::ExecOverrides timed_opts{};
+  const query::ExecOverrides counted_opts{.collect_stats = true};
   Rng lit_rng(12);
   for (const LookupCase& c : lookup_cases) {
     LookupRow row;
@@ -289,17 +275,16 @@ int main(int argc, char** argv) {
   }
 
   bench::Table table({"case", "query", "nodes", "sel %", "scan ms",
-                      "push ms", "speedup", "2T", "4T"});
+                      "push ms", "speedup"});
   for (const Row& r : rows) {
     table.AddRow({r.label, r.query, std::to_string(r.nodes),
                   Fmt(100 * r.selectivity, 2), Fmt(r.scan_ms), Fmt(r.push_ms),
-                  Fmt(r.push_ms > 0 ? r.scan_ms / r.push_ms : 0, 2) + "x",
-                  Fmt(r.push_2t_ms), Fmt(r.push_4t_ms)});
+                  Fmt(r.push_ms > 0 ? r.scan_ms / r.push_ms : 0, 2) + "x"});
   }
   table.Print();
 
   std::printf("\nSelective lookups (ScaledAuctions(1.0): %zu nodes, %d "
-              "distinct literals per template, threads=1)\n\n",
+              "distinct literals per template)\n\n",
               static_cast<size_t>(lookup_stored->doc().num_nodes()),
               lookup_literals);
   bench::Table lookup_table(
@@ -321,11 +306,13 @@ int main(int argc, char** argv) {
   }
   std::fprintf(out,
                "{\n"
+               "  \"run\": %s,\n"
                "  \"experiment\": \"e12_value_predicates\",\n"
                "  \"workloads\": {\"books\": {\"nodes\": %zu, \"books\": %d}, "
                "\"auctions\": {\"nodes\": %zu, \"auctions\": %d}},\n"
                "  \"reps\": %d,\n"
                "  \"queries\": [",
+               bench::RunRecordJson().c_str(),
                static_cast<size_t>(books_stored->doc().num_nodes()), bopts.num_books,
                static_cast<size_t>(auctions_stored->doc().num_nodes()), aopts.num_auctions,
                reps);
@@ -337,14 +324,12 @@ int main(int argc, char** argv) {
         "\"result_nodes\": %zu, \"selectivity\": %.5f, "
         "\"value_index_lookups\": %llu, \"value_index_postings\": %llu, "
         "\"value_scan_fallbacks\": %llu, "
-        "\"scan_ms\": %.4f, \"push_ms\": %.4f, \"push_2t_ms\": %.4f, "
-        "\"push_4t_ms\": %.4f, \"speedup\": %.3f}",
+        "\"scan_ms\": %.4f, \"push_ms\": %.4f, \"speedup\": %.3f}",
         i == 0 ? "" : ",", r.label.c_str(), r.workload.c_str(),
         JsonEscape(r.query).c_str(), r.nodes, r.selectivity,
         static_cast<unsigned long long>(r.lookups),
         static_cast<unsigned long long>(r.postings),
         static_cast<unsigned long long>(r.fallbacks), r.scan_ms, r.push_ms,
-        r.push_2t_ms, r.push_4t_ms,
         r.push_ms > 0 ? r.scan_ms / r.push_ms : 0);
   }
   std::fprintf(out,

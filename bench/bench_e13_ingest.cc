@@ -172,9 +172,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
+  std::fprintf(out, "{\n  \"run\": %s,\n", bench::RunRecordJson().c_str());
   std::fprintf(
       out,
-      "{\n"
       "  \"experiment\": \"e13_ingest\",\n"
       "  \"workload\": {\"nodes\": %zu, \"auctions\": %d, "
       "\"xml_bytes\": %zu, \"snapshot_bytes\": %zu},\n"

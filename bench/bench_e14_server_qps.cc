@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   aopts.num_people = smoke ? 50 : 150;
   aopts.num_auctions = smoke ? 150 : 1500;
 
-  server::Catalog catalog({.threads = 1});  // per-query budget: see below
+  server::Catalog catalog;
   {
     Status s = catalog.AddDocumentXml(
         "books", xml::SerializeDocument(workload::GenerateBooks(bopts)));
@@ -234,9 +234,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
+  std::fprintf(out, "{\n  \"run\": %s,\n", bench::RunRecordJson().c_str());
   std::fprintf(
       out,
-      "{\n"
       "  \"experiment\": \"e14_server_qps\",\n"
       "  \"clients\": %d,\n"
       "  \"iters_per_client\": %d,\n"

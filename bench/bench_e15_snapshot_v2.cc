@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  std::fprintf(out, "{\n");
+  std::fprintf(out, "{\n  \"run\": %s,\n", bench::RunRecordJson().c_str());
   std::fprintf(out,
                "  \"experiment\": \"e15_snapshot_v2\",\n"
                "  \"workload\": {\"generator\": \"auctions\", \"auctions\": "

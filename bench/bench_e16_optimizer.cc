@@ -257,8 +257,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
+  std::fprintf(out, "{\n  \"run\": %s,\n", bench::RunRecordJson().c_str());
   std::fprintf(out,
-               "{\n"
                "  \"experiment\": \"e16_optimizer\",\n"
                "  \"workloads\": {\"books\": %zu, \"auctions\": %zu, "
                "\"clustered\": %zu},\n"

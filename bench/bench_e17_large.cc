@@ -2,13 +2,13 @@
 /// \brief E17: a stored document large enough to matter — streamed
 /// generation of a ten-million-node auctions corpus, sequential vs pool
 /// build, cold-vs-warm mmap behaviour of its snapshot, and plain query
-/// timings at one thread and at every hardware thread (pass a smaller
-/// scale or a --benchmark_min_time flag for a smoke run).
+/// timings over the mapped snapshot (pass a smaller scale or a
+/// --benchmark_min_time flag for a smoke run).
 ///
 /// Everything is gated on byte-identity first: the pool build must
-/// snapshot to the same bytes as the sequential build, and every query at
-/// the hardware thread count must return exactly the one-thread result,
-/// before anything is timed.
+/// snapshot to the same bytes as the sequential build, and every query
+/// over the mapped snapshot must return exactly the in-memory build's
+/// result, before anything is timed.
 ///
 ///   $ ./bench_e17_large [scale] [out.json] [--benchmark_min_time=0.01s]
 ///
@@ -149,15 +149,15 @@ int main(int argc, char** argv) {
     if (!engine.Execute(kQueries[1].path, {}).ok()) std::abort();
   });
 
-  // --- Queries at 1 thread and at hw threads (byte-identity gated) ------
-  query::ExecOverrides one, all;
-  one.threads = 1;
-  all.threads = static_cast<int>(hw);
+  // --- Queries over the snapshot (byte-identity gated) -------------------
+  // The in-memory build is the reference; the aliasing pointer borrows it.
+  query::QueryEngine built_engine(
+      std::shared_ptr<const storage::StoredDocument>(
+          std::shared_ptr<const void>(), &stored));
   struct Row {
     std::string label;
     size_t hits = 0;
-    double ms_1t = 0;
-    double ms_hw = 0;
+    double ms = 0;
   };
   std::vector<Row> rows;
   for (const QuerySpec& q : kQueries) {
@@ -166,21 +166,19 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "prepare failed for %s\n", q.path);
       return 1;
     }
-    auto r1 = engine.Execute(*prepared, one);
-    auto rn = engine.Execute(*prepared, all);
-    if (!r1.ok() || !rn.ok() || r1->nodes() != rn->nodes()) {
-      std::fprintf(stderr, "MISMATCH: %s differs across thread counts\n",
+    auto r = engine.Execute(*prepared);
+    auto expect = built_engine.Execute(q.path);
+    if (!r.ok() || !expect.ok() || r->nodes() != expect->nodes()) {
+      std::fprintf(stderr,
+                   "MISMATCH: %s differs between snapshot and build\n",
                    q.path);
       return 1;
     }
     Row row;
     row.label = q.label;
-    row.hits = r1->size();
-    row.ms_1t = bench::MedianMs(reps, [&] {
-      if (!engine.Execute(*prepared, one).ok()) std::abort();
-    });
-    row.ms_hw = bench::MedianMs(reps, [&] {
-      if (!engine.Execute(*prepared, all).ok()) std::abort();
+    row.hits = r->size();
+    row.ms = bench::MedianMs(reps, [&] {
+      if (!engine.Execute(*prepared).ok()) std::abort();
     });
     rows.push_back(std::move(row));
   }
@@ -189,10 +187,9 @@ int main(int argc, char** argv) {
   std::printf("E17 — large stored document (auctions scale %.3g, %zu "
               "nodes, %u hw threads)\n\n",
               scale, num_nodes, hw);
-  bench::Table table({"query", "hits", "1T ms", "hwT ms"});
+  bench::Table table({"query", "hits", "ms"});
   for (const Row& r : rows) {
-    table.AddRow({r.label, std::to_string(r.hits), Fmt(r.ms_1t),
-                  Fmt(r.ms_hw)});
+    table.AddRow({r.label, std::to_string(r.hits), Fmt(r.ms)});
   }
   table.Print();
   std::printf("\nbuild: seq %.1f ms, pool(%u) %.1f ms (%.2fx)\n",
@@ -208,7 +205,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  std::fprintf(out, "{\n");
+  std::fprintf(out, "{\n  \"run\": %s,\n", bench::RunRecordJson().c_str());
   std::fprintf(out,
                "  \"experiment\": \"e17_large\",\n"
                "  \"workload\": {\"generator\": \"auctions\", \"scale\": "
@@ -229,9 +226,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"label\": \"%s\", \"hits\": %zu, \"ms_1t\": %.4f, "
-                 "\"ms_hw\": %.4f}%s\n",
-                 r.label.c_str(), r.hits, r.ms_1t, r.ms_hw,
+                 "    {\"label\": \"%s\", \"hits\": %zu, \"ms\": %.4f}%s\n",
+                 r.label.c_str(), r.hits, r.ms,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -72,8 +72,7 @@ int main() {
   }
 
   // 4. Query the virtual hierarchy with XPath through the QueryEngine
-  //    facade: Prepare parses and plans once, Execute runs the plan (here
-  //    sequentially; pass {.threads = N} for the parallel engine). author
+  //    facade: Prepare parses and plans once, Execute runs the plan. author
   //    is now a *child* of title even though physically it is a sibling.
   query::QueryEngine engine(vdoc);
   auto prepared = engine.Prepare("//title[author = \"Knuth\"]");

@@ -1,11 +1,13 @@
 /// \file thread_pool.h
-/// \brief A small fixed-size thread pool for intra-query parallelism.
+/// \brief A small fixed-size thread pool.
 ///
 /// The pool is deliberately minimal: a shared FIFO of type-erased tasks,
-/// N worker threads, blocking shutdown in the destructor. Query execution
-/// (query/engine.h) owns one pool per engine and threads it through the
-/// evaluators via ExecContext; nothing in this repository spawns threads
-/// anywhere else, so thread-count budgeting stays in one place.
+/// N worker threads, blocking shutdown in the destructor. It runs two kinds
+/// of work: the build phases (StoredDocument::Build, snapshot load,
+/// ValueIndex::Build), which take a caller-owned pool, and the vpbnd
+/// connection workers (server/server.h). Query execution never uses it: a
+/// query runs sequentially on its caller's thread, and parallelism comes
+/// from running many queries at once.
 ///
 /// Tasks must not throw — higher-level fork/join helpers (parallel.h)
 /// capture exceptions per task and rethrow them on the joining thread.

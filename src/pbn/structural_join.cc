@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "common/parallel.h"
-
 namespace vpbn::num {
 
 namespace {
@@ -23,19 +21,17 @@ bool JoinBlockSkippingEnabled() {
 
 namespace {
 
-/// Stack-tree join skeleton shared by both variants and by the parallel
-/// partitioning. The stack holds the chain of ancestors enclosing the
-/// current position in document order; each descendant is matched against
-/// the whole stack (ancestor variant) or its top-most applicable entry
-/// (parent variant). \p stack and \p a describe the merge state as of
-/// descendants[d_begin]: the enclosing chain of that descendant and the
-/// first ancestor index not yet consumed.
+/// Stack-tree join skeleton shared by both variants. The stack holds the
+/// chain of ancestors enclosing the current position in document order;
+/// each descendant is matched against the whole stack (ancestor variant) or
+/// its top-most applicable entry (parent variant).
 template <bool kParentOnly>
-void StackTreeJoinRange(const std::vector<Pbn>& ancestors,
-                        const std::vector<Pbn>& descendants, size_t d_begin,
-                        size_t d_end, std::vector<size_t> stack, size_t a,
-                        std::vector<JoinPair>* out) {
-  for (size_t d = d_begin; d < d_end; ++d) {
+std::vector<JoinPair> StackTreeJoin(const std::vector<Pbn>& ancestors,
+                                    const std::vector<Pbn>& descendants) {
+  std::vector<JoinPair> out;
+  std::vector<size_t> stack;
+  size_t a = 0;
+  for (size_t d = 0; d < descendants.size(); ++d) {
     const Pbn& dn = descendants[d];
     // Pop ancestors that cannot enclose dn (dn is past their subtree).
     while (!stack.empty() && !ancestors[stack.back()].IsStrictPrefixOf(dn)) {
@@ -54,94 +50,29 @@ void StackTreeJoinRange(const std::vector<Pbn>& ancestors,
       if (!stack.empty()) {
         size_t top = stack.back();
         if (ancestors[top].length() + 1 == dn.length()) {
-          out->push_back(JoinPair{top, d});
+          out.push_back(JoinPair{top, d});
         }
       }
     } else {
-      for (size_t s : stack) out->push_back(JoinPair{s, d});
+      for (size_t s : stack) out.push_back(JoinPair{s, d});
     }
   }
-}
-
-template <bool kParentOnly>
-std::vector<JoinPair> StackTreeJoin(const std::vector<Pbn>& ancestors,
-                                    const std::vector<Pbn>& descendants) {
-  std::vector<JoinPair> out;
-  StackTreeJoinRange<kParentOnly>(ancestors, descendants, 0,
-                                  descendants.size(), {}, 0, &out);
   return out;
 }
 
-/// Reconstructs the merge state at descendants[d_begin] by binary search:
-/// the ancestors enclosing it are exactly its proper PBN prefixes (any
-/// earlier ancestor enclosing a later descendant of the chunk would — by
-/// contiguity of subtree intervals in document order — enclose this one
-/// too), and the scan pointer resumes at the first ancestor >= it.
-template <bool kParentOnly>
-void JoinChunk(const std::vector<Pbn>& ancestors,
-               const std::vector<Pbn>& descendants, size_t d_begin,
-               size_t d_end, std::vector<JoinPair>* out) {
-  const Pbn& first = descendants[d_begin];
-  std::vector<size_t> stack;
-  for (size_t len = 1; len < first.length(); ++len) {
-    Pbn prefix = first.Prefix(len);
-    auto it = std::lower_bound(ancestors.begin(), ancestors.end(), prefix);
-    // Duplicate entries (if callers pass non-deduped lists) all enclose.
-    for (; it != ancestors.end() && *it == prefix; ++it) {
-      stack.push_back(static_cast<size_t>(it - ancestors.begin()));
-    }
-  }
-  size_t a = static_cast<size_t>(
-      std::lower_bound(ancestors.begin(), ancestors.end(), first) -
-      ancestors.begin());
-  StackTreeJoinRange<kParentOnly>(ancestors, descendants, d_begin, d_end,
-                                  std::move(stack), a, out);
-}
-
-template <bool kParentOnly>
-std::vector<JoinPair> PartitionedJoin(const std::vector<Pbn>& ancestors,
-                                      const std::vector<Pbn>& descendants,
-                                      common::ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      descendants.size() < kParallelJoinCutoff || ancestors.empty()) {
-    return StackTreeJoin<kParentOnly>(ancestors, descendants);
-  }
-  size_t num_chunks =
-      std::min(static_cast<size_t>(pool->num_threads()) * 2,
-               descendants.size() / (kParallelJoinCutoff / 4));
-  num_chunks = std::max<size_t>(num_chunks, 1);
-  size_t chunk = (descendants.size() + num_chunks - 1) / num_chunks;
-  std::vector<std::vector<JoinPair>> parts(num_chunks);
-  common::ParallelFor(pool, num_chunks, 1, [&](size_t cb, size_t ce) {
-    for (size_t c = cb; c < ce; ++c) {
-      size_t d_begin = c * chunk;
-      size_t d_end = std::min(d_begin + chunk, descendants.size());
-      if (d_begin >= d_end) continue;
-      JoinChunk<kParentOnly>(ancestors, descendants, d_begin, d_end,
-                             &parts[c]);
-    }
-  });
-  // Chunks partition the descendant list in order, so concatenation keeps
-  // the (descendant, ancestor-depth) output order of the sequential join.
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<JoinPair> out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
-  return out;
-}
-
-/// Packed mirror of StackTreeJoinRange: the merge state is byte-level. Every
+/// Packed mirror of StackTreeJoin: the merge state is byte-level. Every
 /// IsStrictPrefixOf/order decision is a sort-key compare (arena memcmp only
 /// past equal keys); with kCounted the counters tally decisions and the
 /// bytes they touched. Counting is a template parameter so the uncounted
 /// join carries zero bookkeeping in its inner loop.
 template <bool kParentOnly, bool kCounted>
 void PackedStackTreeJoinLoop(const PackedPbnList& ancestors,
-                             const PackedPbnList& descendants, size_t d_begin,
-                             size_t d_end, std::vector<size_t>& stack,
-                             size_t a, std::vector<JoinPair>* out,
+                             const PackedPbnList& descendants,
+                             std::vector<JoinPair>* out,
                              JoinCounters* counters) {
+  std::vector<size_t> stack;
+  size_t a = 0;
+  const size_t d_end = descendants.size();
   uint64_t comparisons = 0;
   uint64_t bytes = 0;
   uint64_t block_skips = 0;
@@ -155,7 +86,7 @@ void PackedStackTreeJoinLoop(const PackedPbnList& ancestors,
   const uint32_t* d_off = descendants.offsets_data();
   const uint32_t* d_len = descendants.lengths_data();
   const uint64_t* d_key = descendants.keys_data();
-  for (size_t d = d_begin; d < d_end; ++d) {
+  for (size_t d = 0; d < d_end; ++d) {
     PackedPbnRef dn(d_arena + d_off[d], d_off[d + 1] - d_off[d], d_len[d],
                     d_key[d]);
     // Pop the chain entries whose subtrees ended before dn. A popped
@@ -231,92 +162,17 @@ void PackedStackTreeJoinLoop(const PackedPbnList& ancestors,
 }
 
 template <bool kParentOnly>
-void PackedStackTreeJoinRange(const PackedPbnList& ancestors,
-                              const PackedPbnList& descendants,
-                              size_t d_begin, size_t d_end,
-                              std::vector<size_t> stack, size_t a,
-                              std::vector<JoinPair>* out,
-                              JoinCounters* counters) {
+std::vector<JoinPair> PackedStackTreeJoin(const PackedPbnList& ancestors,
+                                          const PackedPbnList& descendants,
+                                          JoinCounters* counters) {
+  std::vector<JoinPair> out;
   if (counters != nullptr) {
-    PackedStackTreeJoinLoop<kParentOnly, true>(ancestors, descendants,
-                                               d_begin, d_end, stack, a, out,
+    PackedStackTreeJoinLoop<kParentOnly, true>(ancestors, descendants, &out,
                                                counters);
   } else {
-    PackedStackTreeJoinLoop<kParentOnly, false>(ancestors, descendants,
-                                                d_begin, d_end, stack, a, out,
+    PackedStackTreeJoinLoop<kParentOnly, false>(ancestors, descendants, &out,
                                                 nullptr);
   }
-}
-
-/// Packed chunk seeding: the enclosing ancestors of the chunk's first
-/// descendant are its proper prefixes, each found by a memcmp binary search
-/// over the ancestor offsets; the scan pointer resumes at the first
-/// ancestor >= it.
-template <bool kParentOnly>
-void PackedJoinChunk(const PackedPbnList& ancestors,
-                     const PackedPbnList& descendants, size_t d_begin,
-                     size_t d_end, std::vector<JoinPair>* out,
-                     JoinCounters* counters) {
-  const PackedPbnRef first = descendants[d_begin];
-  std::vector<size_t> stack;
-  // Prefixes share `first`'s leading bytes, so each prefix ref borrows
-  // them; only the terminator differs, supplied by a one-byte buffer via
-  // AppendPrefix into a scratch list.
-  PackedPbnList scratch;
-  scratch.Reserve(first.length());
-  for (size_t len = 1; len < first.length(); ++len) {
-    scratch.AppendPrefix(first, len);
-  }
-  for (size_t len = 1; len < first.length(); ++len) {
-    PackedPbnRef prefix = scratch[len - 1];
-    for (size_t i = ancestors.LowerBound(prefix);
-         i < ancestors.size() && ancestors[i] == prefix; ++i) {
-      stack.push_back(i);
-    }
-  }
-  size_t a = ancestors.LowerBound(first);
-  PackedStackTreeJoinRange<kParentOnly>(ancestors, descendants, d_begin,
-                                        d_end, std::move(stack), a, out,
-                                        counters);
-}
-
-template <bool kParentOnly>
-std::vector<JoinPair> PackedPartitionedJoin(const PackedPbnList& ancestors,
-                                            const PackedPbnList& descendants,
-                                            common::ThreadPool* pool,
-                                            JoinCounters* counters) {
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      descendants.size() < kParallelJoinCutoff || ancestors.empty()) {
-    std::vector<JoinPair> out;
-    PackedStackTreeJoinRange<kParentOnly>(ancestors, descendants, 0,
-                                          descendants.size(), {}, 0, &out,
-                                          counters);
-    return out;
-  }
-  size_t num_chunks =
-      std::min(static_cast<size_t>(pool->num_threads()) * 2,
-               descendants.size() / (kParallelJoinCutoff / 4));
-  num_chunks = std::max<size_t>(num_chunks, 1);
-  size_t chunk = (descendants.size() + num_chunks - 1) / num_chunks;
-  std::vector<std::vector<JoinPair>> parts(num_chunks);
-  std::vector<JoinCounters> part_counters(num_chunks);
-  common::ParallelFor(pool, num_chunks, 1, [&](size_t cb, size_t ce) {
-    for (size_t c = cb; c < ce; ++c) {
-      size_t d_begin = c * chunk;
-      size_t d_end = std::min(d_begin + chunk, descendants.size());
-      if (d_begin >= d_end) continue;
-      PackedJoinChunk<kParentOnly>(ancestors, descendants, d_begin, d_end,
-                                   &parts[c], &part_counters[c]);
-    }
-  });
-  if (counters != nullptr) {
-    for (const JoinCounters& pc : part_counters) counters->Add(pc);
-  }
-  size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<JoinPair> out;
-  out.reserve(total);
-  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
   return out;
 }
 
@@ -332,30 +188,16 @@ std::vector<JoinPair> ParentChildJoin(const std::vector<Pbn>& parents,
   return StackTreeJoin<true>(parents, children);
 }
 
-std::vector<JoinPair> AncestorDescendantJoin(const std::vector<Pbn>& ancestors,
-                                             const std::vector<Pbn>& descendants,
-                                             common::ThreadPool* pool) {
-  return PartitionedJoin<false>(ancestors, descendants, pool);
-}
-
-std::vector<JoinPair> ParentChildJoin(const std::vector<Pbn>& parents,
-                                      const std::vector<Pbn>& children,
-                                      common::ThreadPool* pool) {
-  return PartitionedJoin<true>(parents, children, pool);
-}
-
 std::vector<JoinPair> AncestorDescendantJoin(const PackedPbnList& ancestors,
                                              const PackedPbnList& descendants,
-                                             common::ThreadPool* pool,
                                              JoinCounters* counters) {
-  return PackedPartitionedJoin<false>(ancestors, descendants, pool, counters);
+  return PackedStackTreeJoin<false>(ancestors, descendants, counters);
 }
 
 std::vector<JoinPair> ParentChildJoin(const PackedPbnList& parents,
                                       const PackedPbnList& children,
-                                      common::ThreadPool* pool,
                                       JoinCounters* counters) {
-  return PackedPartitionedJoin<true>(parents, children, pool, counters);
+  return PackedStackTreeJoin<true>(parents, children, counters);
 }
 
 }  // namespace vpbn::num

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <thread>
 
 #include "common/str_util.h"
 #include "query/cost_model.h"
@@ -32,7 +31,6 @@ const char* PlanKindToString(PlanKind plan) {
 
 std::string ExecStats::ToString() const {
   std::string out = "plan=" + std::string(plan) +
-                    " threads=" + std::to_string(threads) +
                     " wall_ms=" + std::to_string(wall_ms) +
                     " ingest_ms=" + std::to_string(ingest_ms) +
                     " snapshot_load=" + (snapshot_load ? "1" : "0") +
@@ -72,8 +70,6 @@ std::string ExecStats::ToJson() const {
     out += buf;
   };
   out += "\"plan\":\"" + JsonEscape(plan) + "\",";
-  std::snprintf(buf, sizeof(buf), "\"threads\":%d,", threads);
-  out += buf;
   std::snprintf(buf, sizeof(buf), "\"wall_ms\":%.6f,", wall_ms);
   out += buf;
   std::snprintf(buf, sizeof(buf), "\"ingest_ms\":%.6f,", ingest_ms);
@@ -141,7 +137,6 @@ void ExecStats::Accumulate(const ExecStats& other) {
   snapshot_load = other.snapshot_load;
   snapshot_bytes = other.snapshot_bytes;
   mapped_bytes = other.mapped_bytes;
-  threads = other.threads;
   if (!other.plan.empty()) plan = other.plan;
   // Per-step records are per-query detail; a cumulative object drops them.
 }
@@ -170,7 +165,6 @@ ExecOptions QueryEngine::default_options() const {
 ExecOptions QueryEngine::EffectiveOptions(
     const ExecOverrides& overrides) const {
   ExecOptions effective = default_options();
-  if (overrides.threads) effective.threads = *overrides.threads;
   if (overrides.collect_stats) {
     effective.collect_stats = *overrides.collect_stats;
   }
@@ -275,19 +269,6 @@ size_t QueryEngine::plan_cache_size() const {
   return lru_.size();
 }
 
-common::ThreadPool* QueryEngine::PoolFor(int threads) const {
-  if (threads == 0) {
-    threads =
-        std::max(1u, std::thread::hardware_concurrency());
-  }
-  if (threads <= 1) return nullptr;
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  if (pool_ == nullptr || pool_->num_threads() != threads) {
-    pool_ = std::make_unique<common::ThreadPool>(threads);
-  }
-  return pool_.get();
-}
-
 Result<QueryResult> QueryEngine::Execute(const PreparedQuery& query,
                                          const ExecOverrides& overrides) const {
   return ExecuteResolved(query, EffectiveOptions(overrides));
@@ -307,8 +288,7 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
         std::to_string(engine_id_) + " epoch " + std::to_string(epoch) +
         " stats_epoch " + std::to_string(stats_epoch));
   }
-  common::ThreadPool* pool = PoolFor(options.threads);
-  ExecContext ctx(pool, options.collect_stats);
+  ExecContext ctx(options.collect_stats);
   ctx.set_virtual_join(options.virtual_join);
   ctx.set_use_value_index(options.use_value_index);
   ctx.set_use_cost_model(options.use_cost_model);
@@ -350,7 +330,6 @@ Result<QueryResult> QueryEngine::ExecuteResolved(
   stats.wall_ms = std::chrono::duration<double, std::milli>(
                       std::chrono::steady_clock::now() - t0)
                       .count();
-  stats.threads = pool != nullptr ? pool->num_threads() : 1;
   stats.plan = PlanKindToString(effective_plan);
   if (stored_ != nullptr) {
     stats.chosen_plan =

@@ -10,13 +10,13 @@
 ///     StoredDocument it decides bulk-join vs per-node-indexed from the
 ///     path's shape; over a Document it plans navigational; over a
 ///     VirtualDocument, virtual (vPBN) evaluation.
-///   * **Execute(prepared, ExecOverrides)** runs the plan, optionally on a
-///     thread pool (partitioned structural joins, per-context-node
-///     fan-out) and optionally collecting per-query ExecStats.
+///   * **Execute(prepared, ExecOverrides)** runs the plan sequentially on
+///     the calling thread, optionally collecting per-query ExecStats.
 ///
 /// The same PreparedQuery can be executed many times with different
-/// options; the engine caches its thread pool between calls. One engine
-/// views exactly one substrate instance and holds no data. Engines share
+/// options, and concurrently from many threads: parallelism lives across
+/// queries (one thread per request), never inside one. One engine views
+/// exactly one substrate instance and holds no data. Engines share
 /// ownership of their substrate (`std::shared_ptr<const ...>`), so a
 /// long-running server can drop or reload a document while queries against
 /// the old instance are still in flight — the engine keeps it alive.
@@ -25,11 +25,11 @@
 ///   auto stored = std::make_shared<const storage::StoredDocument>(
 ///       storage::StoredDocument::Build(std::move(doc)));
 ///   query::QueryEngine engine(stored);   // or (doc) or (vdoc)
-///   engine.SetDefaultOptions({.threads = 4});        // engine-level default
+///   engine.SetDefaultOptions({.collect_stats = true});  // engine default
 ///   VPBN_ASSIGN_OR_RETURN(query::PreparedQuery q,
 ///                         engine.Prepare("//book[author/name]/title"));
 ///   VPBN_ASSIGN_OR_RETURN(query::QueryResult r,
-///                         engine.Execute(q, {.collect_stats = true}));
+///                         engine.Execute(q, {.use_cost_model = false}));
 ///   for (const std::string& v : engine.StringValues(r)) ...
 ///   std::cout << r.stats().ToString();
 /// \endcode
@@ -53,7 +53,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "query/exec_context.h"
 #include "query/path_parser.h"
 #include "storage/stored_document.h"
@@ -121,9 +120,6 @@ class PreparedQuery {
 /// either the engine defaults verbatim, or the defaults with an
 /// ExecOverrides delta merged on top (EffectiveOptions).
 struct ExecOptions {
-  /// Thread budget: 1 = sequential (default), 0 = hardware concurrency,
-  /// N > 1 = pool of N. Results are identical for every value.
-  int threads = 1;
   /// Collect ExecStats (counters + per-step timings) into the result.
   bool collect_stats = false;
   /// Virtual plans only: evaluate eligible axis steps with vtype-
@@ -149,16 +145,17 @@ struct ExecOptions {
 
 /// \brief A per-request delta over the engine's default ExecOptions: each
 /// set field replaces the corresponding default, unset fields fall through.
-/// Designated initializers read like the old per-call knobs —
-/// `engine.Execute(q, {.threads = 4, .collect_stats = true})` — but a
-/// server can now thread one ExecOverrides from the wire to the engine
-/// without knowing (or clobbering) the engine's configured defaults.
+/// Designated initializers read like per-call knobs —
+/// `engine.Execute(q, {.collect_stats = true})` — but a server can thread
+/// one ExecOverrides from the wire to the engine without knowing (or
+/// clobbering) the engine's configured defaults.
 struct ExecOverrides {
-  std::optional<int> threads;
-  std::optional<bool> collect_stats;
-  std::optional<bool> virtual_join;
-  std::optional<bool> use_value_index;
-  std::optional<bool> use_cost_model;
+  // Explicit initializers keep `{.collect_stats = true}` call sites free of
+  // -Wmissing-field-initializers.
+  std::optional<bool> collect_stats = std::nullopt;
+  std::optional<bool> virtual_join = std::nullopt;
+  std::optional<bool> use_value_index = std::nullopt;
+  std::optional<bool> use_cost_model = std::nullopt;
 };
 
 /// \brief Result nodes in the substrate's native handle type, plus stats.
@@ -189,8 +186,8 @@ class QueryResult {
   }
   /// @}
 
-  /// Populated when ExecOptions::collect_stats was set (wall_ms, plan and
-  /// threads are filled in either way).
+  /// Populated when ExecOptions::collect_stats was set (wall_ms and plan
+  /// are filled in either way).
   const ExecStats& stats() const { return stats_; }
 
  private:
@@ -200,8 +197,8 @@ class QueryResult {
 };
 
 /// \brief The unified query facade. Construct over any substrate; Prepare
-/// then Execute. Thread-compatible: concurrent Execute calls on one engine
-/// are safe (the pool is guarded; substrates are immutable).
+/// then Execute. Thread-safe: concurrent Execute calls on one engine are
+/// safe (each runs on its caller's thread; substrates are immutable).
 class QueryEngine {
  public:
   /// \name Construction — shared substrate ownership
@@ -290,8 +287,7 @@ class QueryEngine {
   static constexpr size_t kDefaultPlanCacheCapacity = 128;
 
   /// Runs \p query with the engine defaults plus \p overrides merged on
-  /// top. Deterministic: for any thread count the result nodes are
-  /// identical and in document order. Fails with Internal if \p query was
+  /// top. The result nodes are in document order. Fails with Internal if \p query was
   /// prepared by a different engine or under a different epoch.
   Result<QueryResult> Execute(const PreparedQuery& query,
                               const ExecOverrides& overrides = {}) const;
@@ -316,8 +312,6 @@ class QueryEngine {
       const QueryResult& result, std::deque<std::string>* owned) const;
 
  private:
-  common::ThreadPool* PoolFor(int threads) const;
-
   /// Execute with fully resolved options (the merge already applied).
   Result<QueryResult> ExecuteResolved(const PreparedQuery& query,
                                       const ExecOptions& options) const;
@@ -334,11 +328,6 @@ class QueryEngine {
 
   mutable std::mutex defaults_mu_;
   ExecOptions defaults_;
-
-  // Lazily built, reused across Execute calls, rebuilt when the requested
-  // size changes. Guarded: Execute may be called concurrently.
-  mutable std::mutex pool_mu_;
-  mutable std::unique_ptr<common::ThreadPool> pool_;
 
   // Prepared-plan LRU: most-recent at the front of lru_, with index_
   // pointing into it by path text. Guarded by cache_mu_ (Prepare may be

@@ -6,7 +6,6 @@
 #include <iterator>
 #include <map>
 
-#include "common/parallel.h"
 #include "pbn/packed.h"
 #include "pbn/structural_join.h"
 #include "query/cost_model.h"
@@ -81,15 +80,6 @@ const PackedPbnList& Gather(const PackedPbnList& full, const RowSet& rs,
   return *scratch;
 }
 
-/// Per-type predicate filtering fans out on the pool only when the
-/// surviving type count reaches this (each task runs a whole relative-chain
-/// evaluation, so even small counts amortize).
-constexpr size_t kParallelPredicateCutoff = 2;
-
-common::ThreadPool* PoolOf(ExecContext* ctx) {
-  return ctx != nullptr ? ctx->pool() : nullptr;
-}
-
 bool TypeMatches(const dg::DataGuide& g, dg::TypeId t, const NodeTest& test) {
   return test.Matches(!g.IsTextType(t), g.label(t));
 }
@@ -135,9 +125,8 @@ std::vector<num::JoinPair> Join(num::Axis axis, const PackedPbnList& ancestors,
   num::JoinCounters jc;
   std::vector<num::JoinPair> pairs =
       axis == num::Axis::kChild
-          ? num::ParentChildJoin(ancestors, descendants, PoolOf(ctx), &jc)
-          : num::AncestorDescendantJoin(ancestors, descendants, PoolOf(ctx),
-                                        &jc);
+          ? num::ParentChildJoin(ancestors, descendants, &jc)
+          : num::AncestorDescendantJoin(ancestors, descendants, &jc);
   if (ctx) {
     ctx->CountJoinPairs(pairs.size());
     ctx->CountComparisons(jc.comparisons, jc.bytes_compared);
@@ -667,11 +656,7 @@ RowSet ApplyExistencePred(const storage::StoredDocument& stored,
 }
 
 /// Applies one step's predicates to every per-type survivor set, cheapest
-/// first. The per-type filters are independent (each anchors at one type
-/// and reads only the immutable indexes and the context's thread-safe
-/// caches), so they fan out on the pool; the filtered map is rebuilt in
-/// type order afterwards, keeping the result identical to the sequential
-/// pass. All predicate forms here are existential, so applying them in
+/// first. All predicate forms here are existential, so applying them in
 /// selectivity order changes the work, never the result.
 State ApplyPredicates(const storage::StoredDocument& stored, const Step& step,
                       State state, ExecContext* ctx) {
@@ -693,26 +678,13 @@ State ApplyPredicates(const storage::StoredDocument& stored, const Step& step,
     ValuePred vp;
     const bool is_value =
         pred->kind != Expr::Kind::kPath && RecognizeValuePred(*pred, &vp);
-    std::vector<std::pair<dg::TypeId, RowSet>> entries(
-        std::make_move_iterator(state.begin()),
-        std::make_move_iterator(state.end()));
-    std::vector<RowSet> kept(entries.size());
-    common::ParallelFor(
-        entries.size() >= kParallelPredicateCutoff ? PoolOf(ctx) : nullptr,
-        entries.size(), /*grain=*/1, [&](size_t b, size_t e) {
-          for (size_t i = b; i < e; ++i) {
-            const auto& [t, rs] = entries[i];
-            if (rs.empty()) continue;
-            kept[i] = is_value
-                          ? ApplyValuePred(stored, pred, vp, t, rs, ctx)
-                          : ApplyExistencePred(stored, pred->path, t, rs, ctx);
-          }
-        });
     State filtered;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (!kept[i].empty()) {
-        filtered.emplace(entries[i].first, std::move(kept[i]));
-      }
+    for (const auto& [t, rs] : state) {
+      if (rs.empty()) continue;
+      RowSet kept = is_value
+                        ? ApplyValuePred(stored, pred, vp, t, rs, ctx)
+                        : ApplyExistencePred(stored, pred->path, t, rs, ctx);
+      if (!kept.empty()) filtered.emplace(t, std::move(kept));
     }
     state = std::move(filtered);
   }

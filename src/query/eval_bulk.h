@@ -39,9 +39,8 @@ namespace vpbn::query {
 bool InBulkFragment(const Path& path);
 
 /// \brief Evaluate \p path set-at-a-time. NotImplemented if the path uses
-/// features outside the join fragment. \p ctx (optional) supplies a thread
-/// pool — structural joins are chunk-partitioned and predicate semi-joins
-/// fan out per surviving type — and collects ExecStats.
+/// features outside the join fragment. \p ctx (optional) carries the
+/// evaluation knobs and collects ExecStats.
 Result<std::vector<num::Pbn>> EvalBulk(const storage::StoredDocument& stored,
                                        const Path& path,
                                        ExecContext* ctx = nullptr);

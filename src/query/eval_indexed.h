@@ -29,10 +29,6 @@ class IndexedAdapter {
  public:
   using Node = num::Pbn;
 
-  /// StoredDocument is fully immutable after Build (indexes included), so
-  /// the const interface is safe for concurrent use.
-  static constexpr bool kParallelSafe = true;
-
   /// \p ctx (optional) supplies the value-index knob and the per-query
   /// caches the pushdown paths memoize in; with a null ctx the adapter
   /// evaluates everything per node, as before.
@@ -84,8 +80,8 @@ class IndexedAdapter {
 Result<std::vector<num::Pbn>> EvalIndexed(
     const storage::StoredDocument& stored, std::string_view path_text);
 
-/// \brief Evaluate a pre-parsed path. \p ctx (optional) supplies a thread
-/// pool and collects ExecStats (see query/engine.h).
+/// \brief Evaluate a pre-parsed path. \p ctx (optional) carries the
+/// evaluation knobs and collects ExecStats (see query/engine.h).
 Result<std::vector<num::Pbn>> EvalIndexed(
     const storage::StoredDocument& stored, const Path& path,
     ExecContext* ctx = nullptr);

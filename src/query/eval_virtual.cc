@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/parallel.h"
 #include "pbn/packed.h"
 #include "pbn/structural_join.h"
 #include "query/cost_model.h"
@@ -95,9 +94,8 @@ struct VirtualAdapter::ContextGroup {
 /// One unit of batched axis work: merge the group's context column against
 /// one result vtype's instance column (target != kNullVType), or run the
 /// exact per-node chain expansion for every type the merges could not
-/// cover (target == kNullVType). Tasks are independent — they are the
-/// parallel grain — and their hit lists are appended in task order, so
-/// results are identical for any thread count.
+/// cover (target == kNullVType). Tasks run in order and append their hits
+/// to one list.
 struct VirtualAdapter::JoinTask {
   const ContextGroup* group = nullptr;
   vdg::VTypeId target = vdg::kNullVType;
@@ -474,40 +472,20 @@ bool VirtualAdapter::BatchAxisImpl(const std::vector<VirtualNode>& context,
   }
   if (tasks.empty()) return true;  // slots may still hold -or-self seeds
 
-  std::vector<std::vector<std::pair<uint32_t, VirtualNode>>> hit_lists(
-      tasks.size());
-  std::vector<num::JoinCounters> task_counters(tasks.size());
-  common::ThreadPool* pool = ctx_ != nullptr ? ctx_->pool() : nullptr;
-  // ParallelFor runs inline when there is no usable pool or too few tasks;
-  // hit lists are per-task, so no synchronization is needed either way.
-  common::ParallelFor(pool, tasks.size(), /*grain=*/1,
-                      [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i) {
-                          RunJoinTask(tasks[i], context, axis, test,
-                                      &hit_lists[i], &task_counters[i]);
-                        }
-                      });
-
-  num::JoinCounters total;
-  for (const num::JoinCounters& c : task_counters) total.Add(c);
-  CountJoin(total);
+  std::vector<std::pair<uint32_t, VirtualNode>> hits;
+  num::JoinCounters counters;
+  for (const JoinTask& task : tasks) {
+    RunJoinTask(task, context, axis, test, &hits, &counters);
+  }
+  CountJoin(counters);
 
   // Task order is deterministic and the caller sorts downstream (per slot
-  // or over the flattened list), so the result is identical for any thread
-  // count.
+  // or over the flattened list).
   if (slots != nullptr) {
-    for (const auto& hits : hit_lists) {
-      for (const auto& [slot, node] : hits) {
-        (*slots)[slot].push_back(node);
-      }
-    }
+    for (const auto& [slot, node] : hits) (*slots)[slot].push_back(node);
   } else {
-    size_t total = flat->size();
-    for (const auto& hits : hit_lists) total += hits.size();
-    flat->reserve(total);
-    for (const auto& hits : hit_lists) {
-      for (const auto& [slot, node] : hits) flat->push_back(node);
-    }
+    flat->reserve(flat->size() + hits.size());
+    for (const auto& [slot, node] : hits) flat->push_back(node);
   }
   return true;
 }

@@ -45,12 +45,6 @@ class VirtualAdapter {
  public:
   using Node = virt::VirtualNode;
 
-  /// VirtualDocument's only query-local scratch state is the pair of lazy
-  /// caches (reachability bitmaps, decoded columns), which synchronize
-  /// internally (virtual_document.h), so the const interface is safe for
-  /// concurrent use.
-  static constexpr bool kParallelSafe = true;
-
   /// \p ctx (optional) supplies the merge-join knobs, the MatchingVTypes
   /// cache and the stats counters; it must outlive the adapter.
   explicit VirtualAdapter(const virt::VirtualDocument& vdoc,
@@ -189,8 +183,8 @@ class VirtualAdapter {
 Result<std::vector<virt::VirtualNode>> EvalVirtual(
     const virt::VirtualDocument& vdoc, std::string_view path_text);
 
-/// \brief Evaluate a pre-parsed path. \p ctx (optional) supplies a thread
-/// pool and collects ExecStats (see query/engine.h).
+/// \brief Evaluate a pre-parsed path. \p ctx (optional) carries the
+/// evaluation knobs and collects ExecStats (see query/engine.h).
 Result<std::vector<virt::VirtualNode>> EvalVirtual(
     const virt::VirtualDocument& vdoc, const Path& path,
     ExecContext* ctx = nullptr);

@@ -1,12 +1,13 @@
 /// \file exec_context.h
-/// \brief Per-execution state threaded through the evaluators: the thread
-/// pool to fan work out on, and the counters behind ExecStats.
+/// \brief Per-execution state threaded through the evaluators: the
+/// evaluation knobs, per-query caches, and the counters behind ExecStats.
 ///
 /// An ExecContext is owned by one QueryEngine::Execute call (query/engine.h)
-/// and shared by every evaluator frame of that execution, across threads —
-/// counters are atomic, step records are mutex-guarded. A null ExecContext
-/// (the default everywhere) means sequential execution and no accounting,
-/// which keeps the pre-engine call sites zero-cost.
+/// and shared by every evaluator frame of that execution, which runs on the
+/// calling thread. Counters are atomic and step records and caches are
+/// mutex-guarded all the same, so a context is safe to share. A null
+/// ExecContext (the default everywhere) means no accounting, which keeps
+/// the pre-engine call sites zero-cost.
 
 #pragma once
 
@@ -17,8 +18,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "common/thread_pool.h"
 
 namespace vpbn::query {
 
@@ -59,7 +58,6 @@ struct ExecStats {
   bool snapshot_load = false;      ///< stored substrate came from a snapshot
   uint64_t snapshot_bytes = 0;     ///< on-disk size of that snapshot
   uint64_t mapped_bytes = 0;       ///< bytes of it memory-mapped, not copied
-  int threads = 1;                 ///< thread budget the execution ran with
   std::string plan;                ///< "nav" | "indexed" | "bulk" | "virtual"
   std::string chosen_plan;         ///< "cost:bulk" / "rule:indexed" — how the
                                    ///< plan was picked (stored substrate only)
@@ -73,7 +71,7 @@ struct ExecStats {
   /// the steps array.
   std::string ToJson() const;
 
-  /// Field-wise sum (wall/ingest add, plan/threads/snapshot keep the last
+  /// Field-wise sum (wall/ingest add, plan/snapshot keep the last
   /// non-default value) — the server's cumulative-counters accumulator.
   void Accumulate(const ExecStats& other);
 };
@@ -82,10 +80,8 @@ struct ExecStats {
 class ExecContext {
  public:
   ExecContext() = default;
-  ExecContext(common::ThreadPool* pool, bool collect_stats)
-      : pool_(pool), collect_stats_(collect_stats) {}
+  explicit ExecContext(bool collect_stats) : collect_stats_(collect_stats) {}
 
-  common::ThreadPool* pool() const { return pool_; }
   bool collect_stats() const { return collect_stats_; }
 
   /// \name Virtual merge-join knobs (query/eval_virtual.h)
@@ -122,7 +118,7 @@ class ExecContext {
   /// group of a batch step do not rescan the whole type forest), and
   /// value-pushdown (predicate, type) -> matching-row lists. \p build fills
   /// the list on the first miss. Entries are shared_ptr so a caller can
-  /// keep reading while other threads insert.
+  /// keep reading one while later inserts rehash the map.
   template <typename Build>
   std::shared_ptr<const std::vector<uint32_t>> CachedVTypes(
       const std::string& key, Build&& build) {
@@ -230,7 +226,6 @@ class ExecContext {
   }
 
  private:
-  common::ThreadPool* pool_ = nullptr;
   bool collect_stats_ = false;
   bool virtual_join_ = true;
   bool use_value_index_ = true;

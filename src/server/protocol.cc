@@ -1,7 +1,5 @@
 #include "server/protocol.h"
 
-#include <cstdlib>
-
 #include "common/str_util.h"
 
 namespace vpbn::server {
@@ -46,17 +44,6 @@ Status ParseQueryOption(std::string_view token, query::ExecOverrides* out) {
   }
   if (token == "--no-cost-model") {
     out->use_cost_model = false;
-    return Status::OK();
-  }
-  constexpr std::string_view kThreads = "--threads=";
-  if (StartsWith(token, kThreads)) {
-    std::string arg(token.substr(kThreads.size()));
-    char* end = nullptr;
-    long n = std::strtol(arg.c_str(), &end, 10);
-    if (arg.empty() || *end != '\0' || n < 0 || n > 4096) {
-      return Status::ParseError("bad --threads value '" + arg + "'");
-    }
-    out->threads = static_cast<int>(n);
     return Status::OK();
   }
   return Status::ParseError("unknown QUERY option '" + std::string(token) +

@@ -14,10 +14,12 @@
 /// QUERY options (each a per-request override merged over the engine's
 /// defaults — query/engine.h ExecOverrides):
 ///
-///   --threads=N          thread budget (0 = hardware concurrency)
 ///   --stats              attach the full ExecStats object to the response
 ///   --virtual-join / --no-virtual-join
 ///   --value-index / --no-value-index
+///   --cost-model / --no-cost-model
+///
+/// Any other option (including the retired `--threads=N`) is a parse error.
 ///
 /// Every response is exactly one JSON object on one line, and always leads
 /// with `"code"` — the wire value of query::ErrorCode (0 ok, 1 parse,

@@ -45,9 +45,9 @@ class ResultCache {
   /// options that pick the executed plan participate — virtual_join,
   /// use_value_index and use_cost_model — so a hit replays the plan that
   /// request would have run (the answers are identical either way).
-  /// threads and collect_stats change neither the answer nor the plan, so
-  /// requests differing only in those share an entry (a hit reports the
-  /// wall time of the run that filled it).
+  /// collect_stats changes neither the answer nor the plan, so requests
+  /// differing only in it share an entry (a hit reports the wall time of
+  /// the run that filled it).
   static std::string Key(const std::string& doc, const std::string& view,
                          const std::string& path,
                          const query::ExecOptions& effective, uint64_t epoch);

@@ -2,9 +2,9 @@
 /// \brief vpbnd: the long-running concurrent query server over a Catalog.
 ///
 /// Architecture: a tiny accept loop (one thread) hands each accepted
-/// connection to a worker drawn from a common::ThreadPool — the same pool
-/// type the query engine fans intra-query work out on, so thread budgeting
-/// stays in one abstraction. Workers speak the newline-delimited protocol
+/// connection to a worker drawn from a common::ThreadPool. Each worker runs
+/// its queries sequentially, so concurrency comes from serving connections
+/// at once. Workers speak the newline-delimited protocol
 /// (server/protocol.h): read a line, dispatch, write one JSON line back.
 ///
 /// The full request path for QUERY:

@@ -3,8 +3,7 @@
 /// CompareKeysBatch must count exactly what PackedPbnRef::Compare and
 /// IsStrictPrefixOf decide per element, DecodeBlock/DecodeBlocked must
 /// reproduce the per-entry codec byte for byte, and the block-skipping
-/// joins must emit identical output with skipping on or off, at every
-/// thread count.
+/// joins must emit identical output with skipping on or off.
 
 #include "pbn/packed.h"
 
@@ -16,7 +15,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "common/varint.h"
 #include "pbn/codec.h"
 #include "pbn/structural_join.h"
@@ -353,13 +351,11 @@ TEST(BatchKernelTest, DecodeBlockAgreesWithScalarOnCorruptInput) {
   }
 }
 
-/// Join output must be identical with block skipping on or off, sequential
-/// and at 2 and 8 threads — over random lists and a real type index.
+/// Join output must be identical with block skipping on or off — over
+/// random lists and a real type index.
 TEST(BatchKernelTest, JoinOutputIdenticalWithBlockSkipping) {
   ASSERT_TRUE(JoinBlockSkippingEnabled());  // default on
   Rng rng(31337);
-  common::ThreadPool pool2(2);
-  common::ThreadPool pool8(8);
 
   for (int iter = 0; iter < 6; ++iter) {
     PackedPbnList anc = RandomSortedList(&rng, 800);
@@ -379,19 +375,13 @@ TEST(BatchKernelTest, JoinOutputIdenticalWithBlockSkipping) {
     PackedPbnList desc = PackedPbnList::FromPbns(desc_pbns);
 
     SetJoinBlockSkipping(false);
-    std::vector<JoinPair> ad_base =
-        AncestorDescendantJoin(anc, desc, nullptr, nullptr);
-    std::vector<JoinPair> pc_base =
-        ParentChildJoin(anc, desc, nullptr, nullptr);
+    std::vector<JoinPair> ad_base = AncestorDescendantJoin(anc, desc, nullptr);
+    std::vector<JoinPair> pc_base = ParentChildJoin(anc, desc, nullptr);
     SetJoinBlockSkipping(true);
 
     JoinCounters jc;
-    EXPECT_EQ(AncestorDescendantJoin(anc, desc, nullptr, &jc), ad_base);
-    EXPECT_EQ(ParentChildJoin(anc, desc, nullptr, nullptr), pc_base);
-    for (common::ThreadPool* pool : {&pool2, &pool8}) {
-      EXPECT_EQ(AncestorDescendantJoin(anc, desc, pool, nullptr), ad_base);
-      EXPECT_EQ(ParentChildJoin(anc, desc, pool, nullptr), pc_base);
-    }
+    EXPECT_EQ(AncestorDescendantJoin(anc, desc, &jc), ad_base);
+    EXPECT_EQ(ParentChildJoin(anc, desc, nullptr), pc_base);
   }
 }
 
@@ -418,11 +408,11 @@ TEST(BatchKernelTest, AuctionsJoinSkipsBlocksAndMatches) {
   SetJoinBlockSkipping(false);
   JoinCounters base_jc;
   std::vector<JoinPair> base =
-      AncestorDescendantJoin(anc, desc, nullptr, &base_jc);
+      AncestorDescendantJoin(anc, desc, &base_jc);
   SetJoinBlockSkipping(true);
   JoinCounters skip_jc;
   std::vector<JoinPair> skipped =
-      AncestorDescendantJoin(anc, desc, nullptr, &skip_jc);
+      AncestorDescendantJoin(anc, desc, &skip_jc);
 
   EXPECT_EQ(skipped, base);
   EXPECT_EQ(base_jc.block_skips, 0u);
@@ -435,10 +425,10 @@ TEST(BatchKernelTest, AuctionsJoinSkipsBlocksAndMatches) {
   for (size_t i = 0; i < anc.size(); i += 300) sparse.Append(anc[i]);
   SetJoinBlockSkipping(false);
   std::vector<JoinPair> sparse_base =
-      AncestorDescendantJoin(sparse, desc, nullptr, nullptr);
+      AncestorDescendantJoin(sparse, desc, nullptr);
   SetJoinBlockSkipping(true);
   JoinCounters sparse_jc;
-  EXPECT_EQ(AncestorDescendantJoin(sparse, desc, nullptr, &sparse_jc),
+  EXPECT_EQ(AncestorDescendantJoin(sparse, desc, &sparse_jc),
             sparse_base);
   EXPECT_GT(skip_jc.block_skips + sparse_jc.block_skips, 0u);
 }

@@ -2,8 +2,8 @@
 // navigational oracle: random documents (single-rooted trees and
 // multi-rooted forests) decorated with attributes, random child/descendant
 // paths with selective and broad value, attribute, string-function and
-// existence predicates (several per step), run at 1, 2 and 8 threads with
-// the cost model and the value index on and off. Every answer must equal
+// existence predicates (several per step), run with the cost model and
+// the value index on and off. Every answer must equal
 // EvalNav's, number for number.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "query/eval_bulk.h"
 #include "query/eval_nav.h"
 #include "tests/test_util.h"
@@ -164,9 +163,6 @@ TEST_P(BulkRowsTest, BulkMatchesNavigationalOracle) {
                     : workload::GenerateRandomTree(topts),
       seed);
   const storage::StoredDocument stored = storage::StoredDocument::Build(doc);
-  common::ThreadPool pool2(2);
-  common::ThreadPool pool8(8);
-  common::ThreadPool* pools[] = {nullptr, &pool2, &pool8};
 
   PathGenerator gen(doc, seed * 7919);
   int nonempty = 0;
@@ -181,19 +177,15 @@ TEST_P(BulkRowsTest, BulkMatchesNavigationalOracle) {
     std::vector<num::Pbn> expect;
     for (xml::NodeId id : *nav) expect.push_back(stored.numbering().OfNode(id));
     if (!expect.empty()) ++nonempty;
-    for (common::ThreadPool* pool : pools) {
-      for (bool cost_model : {true, false}) {
-        for (bool value_index : {true, false}) {
-          ExecContext ctx(pool, /*collect_stats=*/true);
-          ctx.set_use_cost_model(cost_model);
-          ctx.set_use_value_index(value_index);
-          auto bulk = EvalBulk(stored, *path, &ctx);
-          ASSERT_TRUE(bulk.ok()) << bulk.status();
-          EXPECT_EQ(*bulk, expect)
-              << "threads=" << (pool ? pool->num_threads() : 1)
-              << " cost_model=" << cost_model
-              << " value_index=" << value_index;
-        }
+    for (bool cost_model : {true, false}) {
+      for (bool value_index : {true, false}) {
+        ExecContext ctx(/*collect_stats=*/true);
+        ctx.set_use_cost_model(cost_model);
+        ctx.set_use_value_index(value_index);
+        auto bulk = EvalBulk(stored, *path, &ctx);
+        ASSERT_TRUE(bulk.ok()) << bulk.status();
+        EXPECT_EQ(*bulk, expect) << "cost_model=" << cost_model
+                                 << " value_index=" << value_index;
       }
     }
   }
@@ -243,8 +235,6 @@ TEST(BulkRowsAuctionTest, SelectiveLookupsOverWholeTypesAndSubsets) {
   const xml::Document doc =
       workload::GenerateAuctions(workload::ScaledAuctions(0.02));
   const storage::StoredDocument stored = storage::StoredDocument::Build(doc);
-  common::ThreadPool pool4(4);
-  common::ThreadPool* pools[] = {nullptr, &pool4};
   int nonempty = 0;
   for (int n = 0; n < 12; ++n) {
     const std::string person = "\"person" + std::to_string(n) + "\"";
@@ -272,14 +262,12 @@ TEST(BulkRowsAuctionTest, SelectiveLookupsOverWholeTypesAndSubsets) {
         expect.push_back(stored.numbering().OfNode(id));
       }
       if (!expect.empty()) ++nonempty;
-      for (common::ThreadPool* pool : pools) {
-        for (bool cost_model : {true, false}) {
-          ExecContext ctx(pool, /*collect_stats=*/true);
-          ctx.set_use_cost_model(cost_model);
-          auto bulk = EvalBulk(stored, *path, &ctx);
-          ASSERT_TRUE(bulk.ok()) << bulk.status();
-          EXPECT_EQ(*bulk, expect) << "cost_model=" << cost_model;
-        }
+      for (bool cost_model : {true, false}) {
+        ExecContext ctx(/*collect_stats=*/true);
+        ctx.set_use_cost_model(cost_model);
+        auto bulk = EvalBulk(stored, *path, &ctx);
+        ASSERT_TRUE(bulk.ok()) << bulk.status();
+        EXPECT_EQ(*bulk, expect) << "cost_model=" << cost_model;
       }
     }
   }

@@ -153,7 +153,7 @@ TEST(CatalogTest, ReplacedGenerationsAreReleasedByTheReaper) {
 
 TEST(CatalogTest, EngineDefaultsComeFromTheCatalog) {
   query::ExecOptions defaults;
-  defaults.threads = 2;
+  defaults.collect_stats = true;
   defaults.use_value_index = false;
   Catalog catalog(defaults);
   ASSERT_TRUE(catalog.AddDocumentXml("books", kBooksV1).ok());

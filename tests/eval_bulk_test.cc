@@ -160,7 +160,6 @@ TEST(EvalBulkTest, SelectiveLookupsCountTheRowsTheyTouch) {
           workload::GenerateAuctions(workload::ScaledAuctions(0.05))));
   QueryEngine engine(stored);
   ExecOverrides opts;
-  opts.threads = 1;
   opts.collect_stats = true;
   auto count = [&](const std::string& path) {
     auto r = engine.Execute(path, opts);

@@ -2,7 +2,7 @@
 /// \brief Property tests anchoring the packed columnar layer to the vector
 /// world: PackedPbnRef decisions must be byte-identical to Pbn decisions,
 /// and the packed structural joins must reproduce the vector joins exactly,
-/// for every axis and thread count.
+/// for every axis.
 
 #include "pbn/packed.h"
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "pbn/axis.h"
 #include "pbn/codec.h"
 #include "pbn/structural_join.h"
@@ -222,11 +221,9 @@ TEST(PackedPbnListTest, LowerBoundAndPrefixRangeMatchLinearScan) {
 }
 
 /// Joins over random sorted lists: packed output must be byte-identical to
-/// the vector output, sequential and parallel alike.
+/// the vector output.
 TEST(PackedJoinTest, RandomListsMatchVectorJoins) {
   Rng rng(4242);
-  common::ThreadPool pool2(2);
-  common::ThreadPool pool4(4);
   for (int iter = 0; iter < 20; ++iter) {
     std::vector<Pbn> ancestors, descendants;
     size_t na = 100 + rng.Uniform(400), nd = 2000 + rng.Uniform(4000);
@@ -258,21 +255,16 @@ TEST(PackedJoinTest, RandomListsMatchVectorJoins) {
     std::vector<JoinPair> pc = ParentChildJoin(ancestors, descendants);
 
     JoinCounters jc;
-    EXPECT_EQ(AncestorDescendantJoin(pa, pd, nullptr, &jc), ad);
-    EXPECT_EQ(ParentChildJoin(pa, pd, nullptr, nullptr), pc);
+    EXPECT_EQ(AncestorDescendantJoin(pa, pd, &jc), ad);
+    EXPECT_EQ(ParentChildJoin(pa, pd, nullptr), pc);
     EXPECT_GT(jc.comparisons, 0u);
     EXPECT_GT(jc.bytes_compared, 0u);
-
-    for (common::ThreadPool* pool : {&pool2, &pool4}) {
-      EXPECT_EQ(AncestorDescendantJoin(pa, pd, pool, nullptr), ad);
-      EXPECT_EQ(ParentChildJoin(pa, pd, pool, nullptr), pc);
-    }
   }
 }
 
 /// The same identity over a real type index (XMark-style auctions): join
 /// auction ancestors with personref descendants through every path.
-TEST(PackedJoinTest, TypeIndexJoinsMatchAcrossThreadCounts) {
+TEST(PackedJoinTest, TypeIndexJoinsMatchVectorJoins) {
   workload::AuctionsOptions opts;
   opts.num_items = 100;
   opts.num_people = 80;
@@ -306,13 +298,8 @@ TEST(PackedJoinTest, TypeIndexJoinsMatchAcrossThreadCounts) {
   ASSERT_FALSE(ad.empty());
   ASSERT_FALSE(pc.empty());
 
-  EXPECT_EQ(AncestorDescendantJoin(panc, pdesc, nullptr, nullptr), ad);
-  EXPECT_EQ(ParentChildJoin(panc, pkids, nullptr, nullptr), pc);
-  for (int threads : {2, 4}) {
-    common::ThreadPool pool(threads);
-    EXPECT_EQ(AncestorDescendantJoin(panc, pdesc, &pool, nullptr), ad);
-    EXPECT_EQ(ParentChildJoin(panc, pkids, &pool, nullptr), pc);
-  }
+  EXPECT_EQ(AncestorDescendantJoin(panc, pdesc, nullptr), ad);
+  EXPECT_EQ(ParentChildJoin(panc, pkids, nullptr), pc);
 }
 
 TEST(PackedPbnListTest, AppendPrefixBuildsAncestors) {

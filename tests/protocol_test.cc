@@ -40,11 +40,8 @@ TEST(ProtocolTest, PathKeepsInternalSpaces) {
 
 TEST(ProtocolTest, ParsesQueryOptions) {
   auto r = ParseRequest(
-      "QUERY books --threads=4 --stats --no-virtual-join "
-      "--value-index //book");
+      "QUERY books --stats --no-virtual-join --value-index //book");
   ASSERT_TRUE(r.ok()) << r.status();
-  ASSERT_TRUE(r->overrides.threads.has_value());
-  EXPECT_EQ(*r->overrides.threads, 4);
   EXPECT_EQ(r->overrides.collect_stats, true);
   EXPECT_EQ(r->overrides.virtual_join, false);
   EXPECT_EQ(r->overrides.use_value_index, true);
@@ -53,7 +50,6 @@ TEST(ProtocolTest, ParsesQueryOptions) {
   // No options: every override stays unset (falls through to defaults).
   auto bare = ParseRequest("QUERY books //book");
   ASSERT_TRUE(bare.ok());
-  EXPECT_FALSE(bare->overrides.threads.has_value());
   EXPECT_FALSE(bare->overrides.collect_stats.has_value());
 }
 
@@ -64,8 +60,6 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
            "QUERY",                    // no target
            "QUERY books",              // no path
            "QUERY books --stats",      // options but no path
-           "QUERY books --threads=x //b",  // bad option value
-           "QUERY books --threads=-1 //b",
            "QUERY books --frobnicate //b",
            "QUERY books/ //b",         // empty view
            "QUERY /v //b",             // empty doc

@@ -12,6 +12,9 @@
 
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "query/engine.h"
 #include "query/eval_nav.h"
@@ -102,15 +105,18 @@ TEST_P(RandomEquivalenceTest, VirtualMatchesMaterialized) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 13));
 
-/// Determinism: the node lists (not just the node sets) with 1 and with N
-/// threads must be identical — parallel execution is invisible in output.
+/// Determinism under concurrency: queries run sequentially on their
+/// caller's thread, and parallelism comes from many callers sharing one
+/// engine. Four threads run the whole battery on shared engines (each
+/// starting at a different query); every node list (not just node set) must
+/// equal the one a lone caller got.
 class ParallelDeterminismTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
   uint64_t seed = GetParam();
   workload::RandomTreeOptions topts;
   topts.seed = seed;
-  topts.num_nodes = 600;  // Large enough to cross the parallel cutoffs.
+  topts.num_nodes = 600;
   topts.num_labels = 4;
   topts.text_prob = 0.25;
   auto doc = std::make_shared<const xml::Document>(
@@ -137,25 +143,44 @@ TEST_P(ParallelDeterminismTest, ThreadsDoNotChangeResults) {
       "//e2/text()",    "//e0[e1]",        "//*[text()]",
       "//e1/..",        "//e0/descendant::*",
   };
-  for (int threads : {2, 4}) {
-    for (const std::string& path : physical) {
-      for (const query::QueryEngine* engine : {&nav_engine, &stored_engine}) {
-        SCOPED_TRACE(path);
-        auto seq = engine->Execute(path, {.threads = 1});
-        auto par = engine->Execute(path, {.threads = threads});
-        ASSERT_TRUE(seq.ok()) << seq.status();
-        ASSERT_TRUE(par.ok()) << par.status();
-        EXPECT_TRUE(seq->nodes() == par->nodes()) << path;
+  struct Job {
+    const QueryEngine* engine;
+    std::string path;
+    QueryResult::NodeList expect;
+  };
+  std::vector<Job> jobs;
+  for (const std::string& path : physical) {
+    for (const QueryEngine* engine : {&nav_engine, &stored_engine}) {
+      jobs.push_back({engine, path, {}});
+    }
+  }
+  for (const std::string& path : PathBattery((*v)->vguide())) {
+    jobs.push_back({&virtual_engine, path, {}});
+  }
+  for (Job& job : jobs) {
+    auto r = job.engine->Execute(job.path);
+    ASSERT_TRUE(r.ok()) << job.path << ": " << r.status();
+    job.expect = r->nodes();
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::string>> diverged(kThreads);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        const Job& job = jobs[(i + t * jobs.size() / kThreads) % jobs.size()];
+        auto r = job.engine->Execute(job.path);
+        if (!r.ok() || !(r->nodes() == job.expect)) {
+          diverged[t].push_back(job.path);
+        }
       }
-    }
-    for (const std::string& path : PathBattery((*v)->vguide())) {
-      SCOPED_TRACE(path);
-      auto seq = virtual_engine.Execute(path, {.threads = 1});
-      auto par = virtual_engine.Execute(path, {.threads = threads});
-      ASSERT_TRUE(seq.ok()) << seq.status();
-      ASSERT_TRUE(par.ok()) << par.status();
-      EXPECT_TRUE(seq->nodes() == par->nodes()) << path;
-    }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(diverged[t].empty())
+        << "thread " << t << " diverged on " << diverged[t].front();
   }
 }
 

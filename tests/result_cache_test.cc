@@ -49,13 +49,11 @@ TEST(ResultCacheTest, HitRequiresEveryKeyComponent) {
 }
 
 TEST(ResultCacheTest, ExecutionShapeOptionsDoNotFragmentTheKey) {
-  // threads and collect_stats change how a result is computed, not what it
-  // is — two requests differing only there share one cache slot.
+  // collect_stats changes how a result is computed, not what it is — two
+  // requests differing only there share one cache slot.
   query::ExecOptions a;
-  a.threads = 1;
   a.collect_stats = false;
   query::ExecOptions b;
-  b.threads = 4;
   b.collect_stats = true;
   EXPECT_EQ(ResultCache::Key("d", "", "//x", a, 3),
             ResultCache::Key("d", "", "//x", b, 3));

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -97,9 +98,9 @@ TEST(ServerTest, RepeatQueryHitsTheResultCache) {
   EXPECT_NE(hit.find("\"values\":[\"<title>A</title>\",\"<title>B</title>\"]"), std::string::npos);
   EXPECT_EQ(f.server->result_cache().hits(), 1u);
 
-  // --threads / --stats change execution shape only: still a hit.
+  // --stats changes execution shape only: still a hit.
   std::string shaped =
-      f.server->HandleLine("QUERY books --threads=2 //book/title");
+      f.server->HandleLine("QUERY books --stats //book/title");
   EXPECT_TRUE(JsonBool(shaped, "cached"));
 
   // A semantics-bearing option is a different key.
@@ -390,6 +391,46 @@ TEST(ServerTest, OversizedLineIsShedAndTheServerKeepsAnswering) {
   std::string r = RoundTrip(f.server->port(), "QUERY books //book/title");
   EXPECT_EQ(r.rfind("{\"code\":0", 0), 0u) << r;
   EXPECT_EQ(JsonInt(r, "count"), 2);
+  f.server->Stop();
+}
+
+TEST(ServerTest, ThreadsOptionIsAParseErrorAndTheConnectionKeepsAnswering) {
+  ServerOptions opts;
+  opts.num_workers = 2;
+  ServerFixture f(opts);
+  ASSERT_TRUE(f.server->Start().ok());
+
+  // Queries run sequentially, so the retired per-query thread budget is an
+  // unknown option. Both lines go down one connection: the first gets the
+  // parse code, the second a normal answer.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(f.server->port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string lines =
+      "QUERY books --threads=2 //book/title\nQUERY books //book/title\n";
+  ASSERT_EQ(::send(fd, lines.data(), lines.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(lines.size()));
+  std::string response;
+  char buf[4096];
+  while (std::count(response.begin(), response.end(), '\n') < 2) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    response.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  const size_t eol = response.find('\n');
+  ASSERT_NE(eol, std::string::npos) << response;
+  const std::string rejected = response.substr(0, eol);
+  const std::string next = response.substr(eol + 1);
+  EXPECT_EQ(rejected.rfind("{\"code\":1", 0), 0u) << rejected;
+  EXPECT_NE(rejected.find("--threads=2"), std::string::npos) << rejected;
+  EXPECT_EQ(next.rfind("{\"code\":0", 0), 0u) << next;
+  EXPECT_EQ(JsonInt(next, "count"), 2);
   f.server->Stop();
 }
 

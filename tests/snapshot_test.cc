@@ -109,7 +109,7 @@ TEST(SnapshotTest, ParallelLoadIsByteIdentical) {
 
 // The satellite property test: a StoredDocument loaded from a snapshot
 // answers every query byte-identically to one built from XML, across all
-// three substrates and thread counts.
+// three substrates.
 TEST(SnapshotTest, LoadedDocumentAnswersQueriesIdentically) {
   xml::Document doc = AuctionsDoc();
   auto built = std::make_shared<const StoredDocument>(
@@ -157,15 +157,13 @@ TEST(SnapshotTest, LoadedDocumentAnswersQueriesIdentically) {
 
   for (const char* q : kQueries) {
     for (const Pair& pair : pairs) {
-      for (int threads : {1, 2, 8}) {
-        auto want = pair.built->Execute(q, {.threads = threads});
-        auto got = pair.loaded->Execute(q, {.threads = threads});
-        ASSERT_TRUE(want.ok()) << q << ": " << want.status();
-        ASSERT_TRUE(got.ok()) << q << ": " << got.status();
-        EXPECT_EQ(pair.loaded->StringValues(*got),
-                  pair.built->StringValues(*want))
-            << q << " at " << threads << " threads";
-      }
+      auto want = pair.built->Execute(q);
+      auto got = pair.loaded->Execute(q);
+      ASSERT_TRUE(want.ok()) << q << ": " << want.status();
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status();
+      EXPECT_EQ(pair.loaded->StringValues(*got),
+                pair.built->StringValues(*want))
+          << q;
     }
   }
 }

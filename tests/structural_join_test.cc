@@ -148,31 +148,5 @@ TEST(StructuralJoinTest, RandomForestMixedLists) {
   }
 }
 
-TEST(StructuralJoinTest, PartitionedJoinMatchesSequential) {
-  // Inputs large enough to cross kParallelJoinCutoff, so the pool overload
-  // actually chunks. The parallel join must be byte-identical (same pairs,
-  // same order), not merely set-equal.
-  Rng rng(777);
-  xml::Document doc = testutil::RandomForest(11, 9000, 3);
-  Numbering numbering = Numbering::Number(doc);
-  std::vector<Pbn> list_a, list_d;
-  for (xml::NodeId id = 0; id < doc.num_nodes(); ++id) {
-    if (rng.Bernoulli(0.4)) list_a.push_back(numbering.OfNode(id));
-    if (rng.Bernoulli(0.6)) list_d.push_back(numbering.OfNode(id));
-  }
-  std::sort(list_a.begin(), list_a.end());
-  std::sort(list_d.begin(), list_d.end());
-  ASSERT_GT(list_d.size(), kParallelJoinCutoff);
-
-  common::ThreadPool pool(4);
-  auto seq_ad = AncestorDescendantJoin(list_a, list_d);
-  auto par_ad = AncestorDescendantJoin(list_a, list_d, &pool);
-  EXPECT_EQ(seq_ad, par_ad);
-
-  auto seq_pc = ParentChildJoin(list_a, list_d);
-  auto par_pc = ParentChildJoin(list_a, list_d, &pool);
-  EXPECT_EQ(seq_pc, par_pc);
-}
-
 }  // namespace
 }  // namespace vpbn::num

@@ -2,7 +2,7 @@
 /// \brief Value index + predicate pushdown: dictionary/column units,
 /// cross-substrate differential tests, and the randomized byte-identity
 /// property — pushdown answers must equal the per-node scan path for every
-/// comparison operator, on stored and virtual documents, at 1/2/8 threads.
+/// comparison operator, on stored and virtual documents.
 
 #include "index/value_index.h"
 
@@ -266,15 +266,9 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnStoredDocument) {
     SCOPED_TRACE(path);
     auto baseline = engine.Execute(path, {.use_value_index = false});
     ASSERT_TRUE(baseline.ok()) << baseline.status();
-    for (int threads : {1, 2, 8}) {
-      for (bool use_index : {true, false}) {
-        auto r = engine.Execute(
-            path, {.threads = threads, .use_value_index = use_index});
-        ASSERT_TRUE(r.ok()) << r.status();
-        EXPECT_EQ(r->pbn_nodes(), baseline->pbn_nodes())
-            << "threads=" << threads << " use_index=" << use_index;
-      }
-    }
+    auto r = engine.Execute(path, {.use_value_index = true});
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->pbn_nodes(), baseline->pbn_nodes());
   }
 }
 
@@ -302,15 +296,9 @@ TEST(ValueIndexPropertyTest, PushdownMatchesScanOnVirtualDocument) {
     SCOPED_TRACE(path);
     auto baseline = engine.Execute(path, {.use_value_index = false});
     ASSERT_TRUE(baseline.ok()) << baseline.status();
-    for (int threads : {1, 2, 8}) {
-      for (bool use_index : {true, false}) {
-        auto r = engine.Execute(
-            path, {.threads = threads, .use_value_index = use_index});
-        ASSERT_TRUE(r.ok()) << r.status();
-        EXPECT_EQ(r->virtual_nodes(), baseline->virtual_nodes())
-            << "threads=" << threads << " use_index=" << use_index;
-      }
-    }
+    auto r = engine.Execute(path, {.use_value_index = true});
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->virtual_nodes(), baseline->virtual_nodes());
   }
 }
 

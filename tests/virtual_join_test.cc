@@ -16,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "pbn/packed.h"
 #include "query/engine.h"
 #include "query/eval_virtual.h"
@@ -36,7 +35,7 @@ virt::VirtualDocument Open(const storage::StoredDocument& stored,
 }
 
 /// Executes \p query with the merge joins off (the per-candidate
-/// baseline), then on at 1/2/8 threads, and requires identical node lists.
+/// baseline), then on, and requires identical node lists.
 void ExpectJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
                                const std::vector<std::string>& queries,
                                uint64_t* vjoin_pairs_seen = nullptr) {
@@ -45,21 +44,17 @@ void ExpectJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
   QueryEngine engine(std::shared_ptr<const virt::VirtualDocument>(
       std::shared_ptr<const void>(), &vdoc));
   for (const std::string& q : queries) {
-    auto base = engine.Execute(q, {.threads = 1,
-                                   .collect_stats = false,
-                                   .virtual_join = false});
+    auto base =
+        engine.Execute(q, {.collect_stats = false, .virtual_join = false});
     ASSERT_TRUE(base.ok()) << q << ": " << base.status();
-    for (int threads : {1, 2, 8}) {
-      auto joined = engine.Execute(q, {.threads = threads,
-                                       .collect_stats = true,
-                                       .virtual_join = true});
-      ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
-      ASSERT_TRUE(base->virtual_nodes() == joined->virtual_nodes())
-          << q << " diverges at threads=" << threads << " (baseline "
-          << base->size() << " nodes, joined " << joined->size() << ")";
-      if (vjoin_pairs_seen != nullptr) {
-        *vjoin_pairs_seen += joined->stats().vjoin_pairs;
-      }
+    auto joined =
+        engine.Execute(q, {.collect_stats = true, .virtual_join = true});
+    ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
+    ASSERT_TRUE(base->virtual_nodes() == joined->virtual_nodes())
+        << q << " diverges (baseline " << base->size() << " nodes, joined "
+        << joined->size() << ")";
+    if (vjoin_pairs_seen != nullptr) {
+      *vjoin_pairs_seen += joined->stats().vjoin_pairs;
     }
   }
 }
@@ -75,16 +70,12 @@ void ExpectForcedJoinMatchesBaseline(const virt::VirtualDocument& vdoc,
     base_ctx.set_virtual_join(false);
     auto base = EvalVirtual(vdoc, *parsed, &base_ctx);
     ASSERT_TRUE(base.ok()) << q << ": " << base.status();
-    for (int threads : {1, 2, 8}) {
-      common::ThreadPool pool(threads);
-      ExecContext ctx(threads > 1 ? &pool : nullptr, false);
-      ctx.set_virtual_join(true);
-      ctx.set_vjoin_min_context(1);
-      auto joined = EvalVirtual(vdoc, *parsed, &ctx);
-      ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
-      ASSERT_TRUE(*base == *joined)
-          << q << " diverges at threads=" << threads << " min_context=1";
-    }
+    ExecContext ctx;
+    ctx.set_virtual_join(true);
+    ctx.set_vjoin_min_context(1);
+    auto joined = EvalVirtual(vdoc, *parsed, &ctx);
+    ASSERT_TRUE(joined.ok()) << q << ": " << joined.status();
+    ASSERT_TRUE(*base == *joined) << q << " diverges at min_context=1";
   }
 }
 

@@ -3,10 +3,9 @@
 /// (query/eval_virtual.h VirtualAdapter::BatchPredicate).
 ///
 /// Three answers must agree for every query: the batched path (witness
-/// probe + one vPBN merge per vtype pair) at 1/2/8 threads and without an
-/// ExecContext, the per-node predicate walk (`virtual_join = false`), byte
-/// for byte, and a physical
-/// evaluation of the materialized view (virt::Materialize + EvalNav), as a
+/// probe + one vPBN merge per vtype pair), with and without an ExecContext,
+/// the per-node predicate walk (`virtual_join = false`), byte for byte, and
+/// a physical evaluation of the materialized view (virt::Materialize + EvalNav), as a
 /// node set. The ExecStats counters tell the two paths apart: a batched
 /// predicate probes the value index once per terminal vtype and leaves
 /// nothing to the per-node walk (`value_scan_fallbacks == 0`), a declined
@@ -19,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "query/engine.h"
 #include "query/eval_nav.h"
 #include "query/eval_virtual.h"
@@ -41,11 +39,11 @@ struct Run {
 /// EvalVirtual with an explicit context; \p batched false pins the per-node
 /// baseline. vjoin_min_context 1 lets the merges run on tiny documents.
 Run Eval(const virt::VirtualDocument& vdoc, const std::string& path,
-         bool batched, common::ThreadPool* pool) {
+         bool batched) {
   auto parsed = ParsePath(path);
   EXPECT_TRUE(parsed.ok()) << path << ": " << parsed.status();
   if (!parsed.ok()) return {};
-  ExecContext ctx(pool, /*collect_stats=*/true);
+  ExecContext ctx(/*collect_stats=*/true);
   ctx.set_virtual_join(batched);
   ctx.set_vjoin_min_context(1);
   auto result = EvalVirtual(vdoc, *parsed, &ctx);
@@ -143,25 +141,17 @@ std::vector<PredQuery> Battery(const vdg::VDataGuide& vg) {
 
 /// Runs \p q three ways and requires agreement; counts batched firings.
 void CheckQuery(const virt::VirtualDocument& vdoc, const virt::Materialized& m,
-                const PredQuery& q, common::ThreadPool* pool2,
-                common::ThreadPool* pool8, int* fired) {
+                const PredQuery& q, int* fired) {
   SCOPED_TRACE(q.path);
-  const Run base = Eval(vdoc, q.path, /*batched=*/false, nullptr);
-  for (common::ThreadPool* pool : {static_cast<common::ThreadPool*>(nullptr),
-                                   pool2, pool8}) {
-    const Run batched = Eval(vdoc, q.path, /*batched=*/true, pool);
-    ASSERT_TRUE(batched.nodes == base.nodes)
-        << "threads=" << (pool == nullptr ? 1 : pool->num_threads())
-        << " batched " << batched.nodes.size() << " nodes, per-node "
-        << base.nodes.size();
-    if (!q.covered && base.fallbacks > 0) {
-      EXPECT_GT(batched.fallbacks, 0u) << "uncovered shape was batched";
-    }
-    if (q.covered && pool == nullptr && batched.fallbacks == 0 &&
-        base.fallbacks > 0) {
-      ++*fired;
-    }
+  const Run base = Eval(vdoc, q.path, /*batched=*/false);
+  const Run batched = Eval(vdoc, q.path, /*batched=*/true);
+  ASSERT_TRUE(batched.nodes == base.nodes)
+      << "batched " << batched.nodes.size() << " nodes, per-node "
+      << base.nodes.size();
+  if (!q.covered && base.fallbacks > 0) {
+    EXPECT_GT(batched.fallbacks, 0u) << "uncovered shape was batched";
   }
+  if (q.covered && batched.fallbacks == 0 && base.fallbacks > 0) ++*fired;
   // No ExecContext at all: nothing memoized, default knobs.
   auto bare = EvalVirtual(vdoc, q.path);
   ASSERT_TRUE(bare.ok()) << bare.status();
@@ -190,9 +180,6 @@ TEST_P(VirtualPredicateRandomTest, BatchedMatchesPerNodeAndMaterialized) {
       seed % 2 == 0 ? testutil::RandomForest(seed, 160, 5)
                     : workload::GenerateRandomTree(topts));
   const storage::StoredDocument stored = storage::StoredDocument::Build(doc);
-  common::ThreadPool pool2(2);
-  common::ThreadPool pool8(8);
-
   int fired = 0;
   for (uint64_t spec_seed = 1; spec_seed <= 5; ++spec_seed) {
     workload::RandomSpecOptions sopts;
@@ -207,7 +194,7 @@ TEST_P(VirtualPredicateRandomTest, BatchedMatchesPerNodeAndMaterialized) {
     auto m = virt::Materialize(*v);
     ASSERT_TRUE(m.ok()) << m.status();
     for (const PredQuery& q : Battery(v->vguide())) {
-      CheckQuery(*v, *m, q, &pool2, &pool8, &fired);
+      CheckQuery(*v, *m, q, &fired);
     }
   }
   // The batched path must actually have answered, not agreed vacuously.
@@ -266,18 +253,13 @@ TEST_F(AuctionViewsTest, ViewTemplatesRunBatched) {
     for (const std::string& path : c.paths) {
       SCOPED_TRACE(path);
       auto base = engine.Execute(
-          path, {.threads = 1, .collect_stats = true, .virtual_join = false});
+          path, {.collect_stats = true, .virtual_join = false});
       ASSERT_TRUE(base.ok()) << base.status();
       EXPECT_GT(base->stats().value_scan_fallbacks, 0u);
-      for (int threads : {1, 2, 8}) {
-        auto batched =
-            engine.Execute(path, {.threads = threads, .collect_stats = true});
-        ASSERT_TRUE(batched.ok()) << batched.status();
-        EXPECT_TRUE(batched->virtual_nodes() == base->virtual_nodes())
-            << "threads=" << threads;
-        EXPECT_EQ(batched->stats().value_scan_fallbacks, 0u)
-            << "threads=" << threads;
-      }
+      auto batched = engine.Execute(path, {.collect_stats = true});
+      ASSERT_TRUE(batched.ok()) << batched.status();
+      EXPECT_TRUE(batched->virtual_nodes() == base->virtual_nodes());
+      EXPECT_EQ(batched->stats().value_scan_fallbacks, 0u);
     }
   }
 }

@@ -5,7 +5,7 @@
 ///   vpbnd --doc books=data/books.xml --doc site=site.vpsn \
 ///         --view books/by_author='...spec...' \
 ///         --port 7070 [--workers 8] [--max-inflight 64] \
-///         [--rate 1000 --burst 200] [--result-cache 256] [--threads 2]
+///         [--rate 1000 --burst 200] [--result-cache 256]
 ///
 /// `--port 0` (the default) binds an ephemeral port; `--port-file <path>`
 /// writes the bound port there once listening, so scripts can wait on the
@@ -35,7 +35,7 @@ int Usage() {
       "             [--port N] [--port-file <path>] [--host A.B.C.D]\n"
       "             [--workers N] [--max-inflight N]\n"
       "             [--rate QPS] [--burst N] [--result-cache N]\n"
-      "             [--threads N (per-query default)] [--no-mmap]\n");
+      "             [--no-mmap]\n");
   return 2;
 }
 
@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> docs;   // name -> path
   std::vector<std::pair<std::string, std::string>> views;  // doc/name -> spec
   server::ServerOptions options;
-  query::ExecOptions engine_defaults;
   bool use_mmap = true;
   std::string port_file;
 
@@ -83,8 +82,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--result-cache" && (v = next())) {
       options.result_cache_capacity =
           static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--threads" && (v = next())) {
-      engine_defaults.threads = std::atoi(v);
     } else if (arg == "--mmap") {
       use_mmap = true;
     } else if (arg == "--no-mmap") {
@@ -95,7 +92,7 @@ int main(int argc, char** argv) {
   }
   if (docs.empty()) return Usage();
 
-  server::Catalog catalog(engine_defaults, use_mmap);
+  server::Catalog catalog(query::ExecOptions{}, use_mmap);
   for (const auto& [name, path] : docs) {
     if (Status s = catalog.AddDocumentFile(name, path); !s.ok()) {
       std::fprintf(stderr, "vpbnd: loading '%s': %s\n", name.c_str(),

@@ -15,11 +15,10 @@
 ///                                             (no parse / renumber / index)
 ///
 /// Query modes go through query::QueryEngine (prepare once, execute once),
-/// so `--threads N` runs the parallel engine, `--stats` prints the
-/// per-query ExecStats, and `--json <file>` writes them as one JSON object.
+/// so `--stats` prints the per-query ExecStats and `--json <file>` writes
+/// them as one JSON object.
 
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <iostream>
@@ -43,9 +42,8 @@ using namespace vpbn;
 int Usage() {
   std::fprintf(stderr,
                "usage:\n"
-               "  vpbnq [--bulk] [--threads N] [--stats] "
-               "[--json <file>] <file.xml> <xpath>\n"
-               "  vpbnq [--threads N] [--stats] [--json <file>] --view "
+               "  vpbnq [--bulk] [--stats] [--json <file>] <file.xml> <xpath>\n"
+               "  vpbnq [--stats] [--json <file>] --view "
                "<vdataguide> <file.xml> <xpath>\n"
                "  vpbnq --materialize <vdataguide> <file.xml>\n"
                "  vpbnq --report <vdataguide> <file.xml>\n"
@@ -53,8 +51,8 @@ int Usage() {
                "  vpbnq --numbers <file.xml>\n"
                "  vpbnq --xquery <query> <file.xml>\n"
                "  vpbnq --save-snapshot <snap> <file.xml> [<xpath>]\n"
-               "  vpbnq --load-snapshot [--no-mmap] [--threads N] "
-               "[--stats] [--json <file>] <snap> <xpath>\n");
+               "  vpbnq --load-snapshot [--no-mmap] [--stats] [--json <file>] "
+               "<snap> <xpath>\n");
   return 2;
 }
 
@@ -129,10 +127,7 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string save_snapshot;
   for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--threads" && std::next(it) != args.end()) {
-      exec_overrides.threads = std::atoi(std::next(it)->c_str());
-      it = args.erase(it, it + 2);
-    } else if (*it == "--stats") {
+    if (*it == "--stats") {
       exec_overrides.collect_stats = true;
       it = args.erase(it);
     } else if (*it == "--json" && std::next(it) != args.end()) {
